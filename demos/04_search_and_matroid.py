@@ -35,7 +35,7 @@ t0 = random_spanning_tree(g, 0)
 result = local_search(g, t0, SearchBudget(max_trees=3000, max_seconds=60,
                                           seed=0))
 print(f"L {t0.total_length().L_total} -> {result.L} "
-      f"({result.evaluations} candidate trees, "
+      f"({result.evaluations} candidate swaps scored, "
       f"{'local optimum' if result.local_optimum else 'budget hit'})")
 
 # %%

@@ -14,16 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
 from .construction import build_tree, log2_bound
 from .errors import CounterexampleError, GridCycleError
-from .expanded import (XSpanningTree, find_long_edge, lemma_lower_check,
-                       plain)
+from .expanded import (XSpanningTree, _log5_floor, find_long_edge,
+                       lemma_lower_check, plain)
 from .grid import make_grid
 from .matroid import echelon_representation
 from .search import (ENUMERATION_LIMIT, SearchBudget, local_search,
@@ -43,23 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _workers() -> int:
-    raw = os.environ.get("GRIDCYCLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _log5_floor(n: int) -> int:
-    k = 0
-    p = 5
-    while p <= n:
-        k += 1
-        p *= 5
-    return k
 
 
 def cmd_build(args) -> int:
@@ -112,13 +93,7 @@ def _verify_row(n: int):
 
 
 def cmd_verify(args) -> int:
-    sizes = [n for n in SWEEP_SCHEDULE if n <= args.n_max]
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_verify_row, sizes))
-    else:
-        rows = [_verify_row(n) for n in sizes]
+    rows = [_verify_row(n) for n in SWEEP_SCHEDULE if n <= args.n_max]
     fields = ["n", "L", "L_bound", "avg_num", "avg_den", "avg_bound",
               "lower_num", "lower_den", "depth", "depth_bound", "pass"]
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -150,13 +125,7 @@ def _lower_one(args_n, seed):
 
 def cmd_lower(args) -> int:
     n = args.n
-    seeds = [args.seed + k for k in range(args.trees)]
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda s: _lower_one(n, s), seeds))
-    else:
-        reports = [_lower_one(n, s) for s in seeds]
+    reports = [_lower_one(n, args.seed + k) for k in range(args.trees)]
     margins = [Fraction(r["lstar"]) - Fraction(r["bound_num"], r["bound_den"])
                for r in reports]
     summary = {

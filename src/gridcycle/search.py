@@ -12,7 +12,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import TooLargeError
+import numpy as np
+
+from .errors import CounterexampleError, NotAChordError, TooLargeError
 from .grid import GridGraph
 from .tree import SpanningTree
 
@@ -307,56 +309,99 @@ class LocalSearchResult:
     local_optimum: bool
 
 
+def swap_deltas(t: SpanningTree, e: int) -> np.ndarray:
+    """Change of the total cycle length for every swap "chord e in, tree edge
+    f out", f running over e's tree path in the order that
+    ``t.fundamental_cycle(e)`` walks it.
+
+    With P_e the tree path from e's end a to its end b, of m edges, a vertex
+    u projects onto position (d(a,u) + m - d(b,u)) / 2 of P_e, so another
+    chord c = {x, y} shares the edges [lo_c, hi_c) of P_e between the
+    projections of x and y; let k_c = hi_c - lo_c.  Removing the edge at
+    position j turns the cycle of every chord c with lo_c <= j < hi_c into
+    C_c xor C_e, of length |C_c| + |C_e| - 2 k_c, and leaves the others
+    alone; the removed edge's own cycle is C_e, which cancels e's.  The sums
+    over j come from one difference array, and the four distance vectors
+    from one batched LCA call.
+    """
+    chords = t.chord_ids()
+    i = int(np.searchsorted(chords, e))
+    if i == len(chords) or chords[i] != e:
+        raise NotAChordError(f"edge {e} is not a chord of the tree")
+    k = len(chords)
+    ends = np.concatenate(t.host.edge_endpoint_indices(chords))
+    d = t.distances(np.repeat(ends[[i, k + i]], 2 * k), np.tile(ends, 2))
+    d_a, d_b = d[:2 * k], d[2 * k:]
+    m = int(d_a[k + i])
+    pos = (d_a + m - d_b) // 2
+    lo = np.minimum(pos[:k], pos[k:])
+    hi = np.maximum(pos[:k], pos[k:])
+    w = m + 1 - 2 * (hi - lo)
+    w[i] = 0
+    diff = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(diff, lo, w)
+    np.add.at(diff, hi, -w)
+    return np.cumsum(diff[:m])
+
+
+def _chord_length_sum(t: SpanningTree) -> int:
+    return int(t.cycle_lengths(t.chord_ids()).sum())
+
+
 def local_search(g: GridGraph, t0: SpanningTree,
                  budget: SearchBudget) -> LocalSearchResult:
     """Hill-climb on the total cycle length by chord/tree-edge swaps.
 
-    Each move inserts a chord and deletes one tree edge on its fundamental
-    cycle, so the result is always a spanning tree; a move is accepted only
-    if the total strictly decreases (first improvement, chord order shuffled
-    per seed).  Stops at a local optimum or when the budget runs out.
+    Each move inserts a chord e and deletes one tree edge f on its
+    fundamental cycle, so the result is always a spanning tree; a move is
+    accepted only if the total strictly decreases (first improvement: chord
+    order shuffled per seed, f in cycle order).  One :func:`swap_deltas`
+    pass scores every f on a tried chord's cycle; each scored f counts as
+    one evaluation.  An accepted move is rebuilt through
+    :meth:`SpanningTree.from_edges` and its total recomputed over all
+    chords; a total other than the predicted one raises
+    :class:`CounterexampleError`.  Stops at a local optimum or when the
+    budget runs out: the evaluation limit is exact, the time limit is
+    checked once per tried chord.
     """
     rng = random.Random(budget.seed)
     t_start = time.monotonic()
     current = t0
-    cur_L = current.total_length().L_total if g.n >= 2 else 0
+    cur_L = _chord_length_sum(current)
     evals = 0
-    exhausted = False
-    optimum = False
 
-    def out_of_budget():
-        return (evals >= budget.max_trees
-                or time.monotonic() - t_start >= budget.max_seconds)
+    def result(exhausted):
+        return LocalSearchResult(current, cur_L, evals, exhausted,
+                                 not exhausted)
 
     while True:
-        improved = False
-        chords = [int(c) for c in current.chord_ids()] if g.n >= 2 else []
+        chords = current.chord_ids().tolist()
         rng.shuffle(chords)
         for e in chords:
-            if out_of_budget():
-                exhausted = True
+            room = budget.max_trees - evals
+            if room <= 0 or time.monotonic() - t_start >= budget.max_seconds:
+                return result(True)
+            deltas = swap_deltas(current, e)
+            better = np.flatnonzero(deltas[:room] < 0)
+            if len(better):
                 break
-            cycle = current.fundamental_cycle(e)
-            tree_edges = [g.edge_id(cycle[i], cycle[i + 1])
-                          for i in range(len(cycle) - 1)]
-            base = set(int(i) for i in current.tree_edge_ids())
-            for f in tree_edges:
-                if out_of_budget():
-                    exhausted = True
-                    break
-                cand_ids = (base - {f}) | {e}
-                cand = SpanningTree.from_edges(g, cand_ids, current.root)
-                cand_L = cand.total_length().L_total
-                evals += 1
-                if cand_L < cur_L:
-                    current, cur_L = cand, cand_L
-                    improved = True
-                    break
-            if improved or exhausted:
-                break
-        if exhausted:
-            break
-        if not improved:
-            optimum = True
-            break
-    return LocalSearchResult(current, cur_L, evals, exhausted, optimum)
+            if len(deltas) > room:
+                evals += room
+                return result(True)
+            evals += len(deltas)
+        else:
+            return result(False)
+        j = int(better[0])
+        evals += j + 1
+        cycle = current.fundamental_cycle(e)
+        f = g.edge_id(cycle[j], cycle[j + 1])
+        mask = current.tree_edge_mask.copy()
+        mask[[e, f]] = True, False
+        cand = SpanningTree.from_edges(g, np.flatnonzero(mask), current.root)
+        cand_L = _chord_length_sum(cand)
+        if cand_L != cur_L + int(deltas[j]):
+            raise CounterexampleError(
+                f"local search on the {g.n}-grid (seed {budget.seed}): "
+                f"swapping chord {e} in and tree edge {f} out gives L = "
+                f"{cand_L}, not the predicted {cur_L + int(deltas[j])}")
+        current, cur_L = cand, cand_L

@@ -86,6 +86,13 @@ class AncestorTables:
         w = self.lca(u, v)
         return self.depth[u] + self.depth[v] - 2 * self.depth[w] + 1
 
+    def distances(self, u, v):
+        """Number of tree edges on the paths u..v, elementwise."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = self.lca(u, v)
+        return self.depth[u] + self.depth[v] - 2 * self.depth[w]
+
     # -- box aggregation ---------------------------------------------------
 
     def _box_tables(self):
@@ -361,6 +368,10 @@ class SpanningTree:
         ua, ub = self.host.edge_endpoint_indices(eids)
         return self._tables.cycle_lengths(ua, ub)
 
+    def distances(self, u, v) -> np.ndarray:
+        """Vectorized tree distances between vertex indices u and v."""
+        return self._tables.distances(u, v)
+
     def total_length(self) -> CycleStats:
         """Lengths and bounding-box perimeters of every chord's cycle."""
         g = self.host
@@ -387,13 +398,39 @@ class SpanningTree:
 
     @staticmethod
     def from_file(path) -> "SpanningTree":
+        """Read a tree file.  A missing or malformed line raises
+        ``ValueError`` naming the file and the line number."""
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or not lines[0].startswith("n "):
-            raise ValueError(f"{path}: malformed tree file")
-        n = int(lines[0].split()[1])
-        rx, ry = (int(t) for t in lines[1].split()[1:3])
-        ids = [int(ln) for ln in lines[2:]]
+            lines = fh.read().splitlines()
+
+        def ints(i, shape):
+            """The integers of lines[i], laid out as shape."""
+            toks, words = lines[i].split(), shape.split()
+            key = [] if words[0].startswith("<") else words[:1]
+            if toks[:len(key)] == key and len(toks) == len(words):
+                try:
+                    return [int(t) for t in toks[len(key):]]
+                except ValueError:
+                    pass
+            raise ValueError(f"{path}:{i + 1}: expected '{shape}', got "
+                             f"{' '.join(toks)!r}")
+
+        def header(start, shape):
+            """The index after the first non-blank line from lines[start]
+            on, and that line's integers."""
+            for i in range(start, len(lines)):
+                if lines[i].strip():
+                    return i + 1, ints(i, shape)
+            raise ValueError(
+                f"{path}:{len(lines) + 1}: missing line '{shape}'")
+
+        at, (n,) = header(0, "n <side>")
+        at, (rx, ry) = header(at, "root <x> <y>")
+        try:
+            ids = [int(ln) for ln in lines[at:] if ln.strip()]
+        except ValueError:
+            ids = [ints(i, "<edge-id>")[0] for i in range(at, len(lines))
+                   if lines[i].strip()]
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
 
 

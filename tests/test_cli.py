@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gridcycle.cli import main
 from gridcycle.tree import SpanningTree
 
@@ -142,6 +144,23 @@ def test_export_mismatched_tree(capsys, tmp_path):
     code, _, err = run_cli(capsys, "export", "--n", "4", "--tree",
                            str(tree_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", 1),
+    ("n 4\n", 2),
+    ("n 4\nroot 4 1\n0\nseven\n", 4),
+    ("n 4\nroot 4 1\n0 1\n", 3),
+])
+def test_export_malformed_tree_file(capsys, tmp_path, text, line):
+    tree_path = tmp_path / "bad.txt"
+    tree_path.write_text(text)
+    code, out, err = run_cli(capsys, "export", "--n", "4", "--tree",
+                             str(tree_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {tree_path}:{line}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):

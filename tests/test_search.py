@@ -2,14 +2,19 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import comb_tree
+import gridcycle.search as search
+from conftest import comb_tree, explicit_cycle_length, reference_local_search
+from gridcycle.cli import main
 from gridcycle.construction import build_tree
-from gridcycle.errors import TooLargeError
+from gridcycle.errors import CounterexampleError, NotAChordError, TooLargeError
 from gridcycle.grid import make_grid
 from gridcycle.search import (SearchBudget, count_spanning_trees,
                               enumerate_spanning_trees, local_search,
-                              min_total_length, random_spanning_tree)
+                              min_total_length, random_spanning_tree,
+                              swap_deltas)
 from gridcycle.tree import SpanningTree
 
 
@@ -133,3 +138,109 @@ def test_local_search_never_increases_from_constructed_tree():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_trees=0)
+
+
+UNLIMITED = 10 ** 9
+
+
+def outcome(res):
+    return (res.tree.tree_edge_ids().tolist(), res.L, res.evaluations,
+            res.budget_exhausted, res.local_optimum)
+
+
+def assert_matches_reference(n, tree_seed, search_seed, max_trees):
+    g = make_grid(n)
+    t0 = random_spanning_tree(g, tree_seed)
+    budget = SearchBudget(max_trees=max_trees, max_seconds=1e9,
+                          seed=search_seed)
+    res = local_search(g, t0, budget)
+    assert outcome(res) == outcome(reference_local_search(g, t0, budget))
+    return res
+
+
+@pytest.mark.parametrize("n,seeds", [(2, (0, 1, 2)), (3, (0, 1, 2, 3)),
+                                     (4, (0, 1, 2)), (5, (0, 1, 2)),
+                                     (8, (0, 1)), (16, (0, 1))])
+def test_local_search_matches_reference_unlimited(n, seeds):
+    for seed in seeds:
+        res = assert_matches_reference(n, seed, 100 + seed, UNLIMITED)
+        assert res.local_optimum and not res.budget_exhausted
+
+
+def test_local_search_matches_reference_budgets_mid_cycle():
+    # Every budget from 1 to 80 on a 5-grid search of about 200
+    # evaluations ends mid-cycle, at a cycle end or right after a move.
+    for max_trees in range(1, 81):
+        res = assert_matches_reference(5, 0, 100, max_trees)
+        assert res.budget_exhausted and res.evaluations == max_trees
+    for n, max_trees in ((8, 57), (8, 333), (16, 150)):
+        assert_matches_reference(n, 7, 8, max_trees)
+
+
+def test_local_search_budget_ending_at_last_cycle_end():
+    g = make_grid(6)
+    t0 = random_spanning_tree(g, 4)
+    full = local_search(g, t0, SearchBudget(max_trees=UNLIMITED, seed=9))
+    assert full.local_optimum
+    # The final pass over all chords scores every cycle and finds nothing,
+    # so a budget of exactly its evaluations still reaches the optimum.
+    res = assert_matches_reference(6, 4, 9, full.evaluations)
+    assert res.local_optimum and not res.budget_exhausted
+    assert outcome(res) == outcome(full)
+    res = assert_matches_reference(6, 4, 9, full.evaluations - 1)
+    assert res.budget_exhausted and not res.local_optimum
+
+
+def test_local_search_time_budget_checked_before_first_chord():
+    g = make_grid(8)
+    res = local_search(g, comb_tree(g), SearchBudget(max_trees=UNLIMITED,
+                                                     max_seconds=1e-9))
+    assert res.budget_exhausted and res.evaluations == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       max_trees=st.integers(1, 300))
+def test_local_search_matches_reference_property(n, seed, max_trees):
+    assert_matches_reference(n, seed, seed + 1, max_trees)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_swap_deltas_match_explicit_walks(n):
+    g = make_grid(n)
+
+    def explicit_total(t):
+        return sum(explicit_cycle_length(t, int(c)) for c in t.chord_ids())
+
+    for seed in (0, 1):
+        t = random_spanning_tree(g, seed)
+        cur_L = explicit_total(t)
+        chords = t.chord_ids().tolist()
+        for e in chords[::max(1, len(chords) // 4)]:
+            cycle = t.fundamental_cycle(e)
+            deltas = swap_deltas(t, e)
+            assert len(deltas) == len(cycle) - 1
+            for j, delta in enumerate(deltas.tolist()):
+                f = g.edge_id(cycle[j], cycle[j + 1])
+                ids = set(t.tree_edge_ids().tolist()) - {f} | {e}
+                swapped = SpanningTree.from_edges(g, ids, t.root)
+                assert cur_L + delta == explicit_total(swapped)
+
+
+def test_swap_deltas_rejects_tree_edge():
+    t = build_tree(4)
+    with pytest.raises(NotAChordError):
+        swap_deltas(t, int(t.tree_edge_ids()[0]))
+
+
+def test_local_search_wrong_delta_is_a_counterexample(monkeypatch, capsys):
+    real = search.swap_deltas
+    monkeypatch.setattr(search, "swap_deltas",
+                        lambda t, e: real(t, e) - 1000)
+    g = make_grid(5)
+    with pytest.raises(CounterexampleError, match="predicted"):
+        local_search(g, comb_tree(g), SearchBudget(seed=1))
+    code = main(["search", "--n", "5", "--trees", "1",
+                 "--budget-seconds", "5"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("counterexample: ")
