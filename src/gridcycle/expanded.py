@@ -40,7 +40,8 @@ from .errors import (
     UnknownEdgeError,
 )
 from .grid import Coord, GridGraph, SubgridRef
-from .tree import AncestorTables, SpanningTree
+from .tree import (AncestorTables, SpanningTree, malformed_line, missing_line,
+                   record_ints)
 
 
 @dataclass(frozen=True)
@@ -208,36 +209,50 @@ class ExpandedGrid:
 
     @staticmethod
     def from_file(path) -> "ExpandedGrid":
+        """Read an expanded-grid file.  A missing or malformed record raises
+        ``ValueError`` naming the file and the line number."""
         n = None
         dups = []
         xedges = []
-
-        def parse_ref(tokens):
-            if tokens[0] == "h":
-                return (int(tokens[1]), int(tokens[2])), tokens[3:]
-            if tokens[0] == "d":
-                return ("d", int(tokens[1])), tokens[2:]
-            raise ValueError(f"bad endpoint {' '.join(tokens)}")
-
         with open(path) as fh:
-            for line in fh:
-                tok = line.split()
-                if not tok:
-                    continue
-                if tok[0] == "n":
-                    n = int(tok[1])
-                elif tok[0] == "dup":
-                    dups.append(Duplicate(int(tok[1]), (int(tok[2]), int(tok[3])),
-                                          int(tok[4])))
-                elif tok[0] == "xedge":
-                    a, rest = parse_ref(tok[1:])
-                    b, rest = parse_ref(rest)
-                    xedges.append((a, b))
-                else:
-                    raise ValueError(f"{path}: unknown record {tok[0]!r}")
+            lines = fh.read().splitlines()
+        for i, line in enumerate(lines, 1):
+            tok = line.split()
+            if not tok:
+                continue
+            if tok[0] == "n":
+                (n,) = record_ints(path, i, line, "n <side>")
+            elif tok[0] == "dup":
+                d, x, y, slot = record_ints(path, i, line,
+                                            "dup <id> <x> <y> <slot>")
+                dups.append(Duplicate(d, (x, y), slot))
+            elif tok[0] == "xedge":
+                xedges.append(_xedge_record(path, i, line))
+            else:
+                raise ValueError(f"{path}:{i}: unknown record {tok[0]!r}")
         if n is None:
-            raise ValueError(f"{path}: missing grid size record")
+            raise missing_line(path, len(lines) + 1, "n <side>")
         return ExpandedGrid(GridGraph(n), dups, xedges)
+
+
+_ENDPOINT_SHAPES = {"h": "h <x> <y>", "d": "d <id>"}
+
+
+def _xedge_record(path, lineno: int, line: str):
+    """The two endpoint refs of an ``xedge`` line of an expanded-grid file."""
+    toks = line.split()
+    keys, at = [], 1
+    for _ in range(2):
+        key = toks[at] if at < len(toks) else None
+        if key not in _ENDPOINT_SHAPES:
+            raise malformed_line(path, lineno, line,
+                                 "xedge <endpoint> <endpoint>")
+        keys.append(key)
+        at += len(_ENDPOINT_SHAPES[key].split())
+    shape = " ".join(["xedge"] + [_ENDPOINT_SHAPES[k] for k in keys])
+    vals = iter(record_ints(path, lineno, line, shape))
+    return tuple((next(vals), next(vals)) if k == "h" else ("d", next(vals))
+                 for k in keys)
 
 
 def plain(g: GridGraph) -> ExpandedGrid:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyMatroidError
 from .grid import GridGraph
-from .tree import SpanningTree
+from .tree import SpanningTree, record_ints
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,14 @@ class EchelonMatrix:
 
     @staticmethod
     def from_file(path) -> "EchelonMatrix":
+        """Read a matrix file.  A malformed line raises ``ValueError``
+        naming the file and the line number."""
         with open(path) as fh:
-            head = fh.readline().split()
-            n_rows, n_cols, nnz = (int(t) for t in head)
-            entries = tuple(tuple(int(t) for t in ln.split())
-                            for ln in fh if ln.strip())
+            lines = fh.read().splitlines()
+        n_rows, n_cols, nnz = record_ints(path, 1, (lines or [""])[0],
+                                          "<rows> <cols> <nnz>")
+        entries = tuple(tuple(record_ints(path, i, ln, "<row> <col>"))
+                        for i, ln in enumerate(lines[1:], 2) if ln.strip())
         if len(entries) != nnz:
             raise ValueError(f"{path}: expected {nnz} entries, got {len(entries)}")
         return EchelonMatrix(n_rows, n_cols, entries)

@@ -3,9 +3,13 @@
 A :class:`SpanningTree` stores parent/depth arrays over the host grid's
 vertex indexing plus binary-lifting ancestor tables, so the length of any
 chord's fundamental cycle is an O(log n) query and the full statistics
-sweep is vectorized across all chords.  Bounding boxes of tree paths are
-aggregated through the same tables, which keeps perimeter sums cheap even
-at side 1024.
+sweep is vectorized across all chords.  Bounding boxes of the cycles come
+from the dual tree instead: the chords of a plane spanning tree form a
+spanning tree of the faces, and a chord's cycle encloses exactly the faces
+of its subtree when that tree is rooted at the outer face, so every box is
+a subtree min/max over unit squares, in O(n^2) memory.  Boxes of tree paths
+aggregated through the lifting tables (:meth:`AncestorTables.path_boxes`)
+serve expanded grids, whose faces are not unit squares.
 
 Cycle conventions: an "ordered vertex cycle" is a list of distinct vertices;
 consecutive entries (and the last-to-first pair) are the cycle's edges, so
@@ -15,12 +19,13 @@ the cycle's length equals the list's length.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     EmptyCycleError,
@@ -30,6 +35,9 @@ from .errors import (
     UnknownEdgeError,
 )
 from .grid import Coord, Edge, GridGraph
+
+# Rows per ``csv.writer.writerows`` call in :meth:`CycleStats.to_csv`.
+_CSV_CHUNK = 1 << 16
 
 
 class AncestorTables:
@@ -233,11 +241,16 @@ class CycleStats:
                         self.perimeters.tolist()))
 
     def to_csv(self, path) -> None:
+        """Header plus one row per chord, written in fixed-size chunks so no
+        list of all records is ever held."""
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh)
             out.writerow(["edge_id", "length", "perimeter"])
-            for rec in self.records():
-                out.writerow(rec)
+            for i in range(0, self.count, _CSV_CHUNK):
+                s = slice(i, i + _CSV_CHUNK)
+                out.writerows(zip(self.edge_ids[s].tolist(),
+                                  self.lengths[s].tolist(),
+                                  self.perimeters[s].tolist()))
 
 
 class SpanningTree:
@@ -269,26 +282,29 @@ class SpanningTree:
         ``cyclic`` or ``disconnected``.
         """
         g.check_vertex(root)
-        given = [int(e) for e in edge_ids]
-        ids = sorted(set(given))
-        if len(ids) != len(given):
+        if isinstance(edge_ids, (Sequence, np.ndarray)):
+            ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+        else:
+            ids = np.sort(np.fromiter(edge_ids, dtype=np.int64))
+        if (ids[1:] == ids[:-1]).any():
             raise NotASpanningTreeError("cardinality", "duplicate edge ids")
-        for e in ids:
-            if not 0 <= e < g.num_edges:
-                raise UnknownEdgeError(f"edge id {e} is not a host edge")
+        ne = g.num_edges
+        bad = (ids < 0) | (ids >= ne)
+        if bad.any():
+            e = int(ids[bad.argmax()])
+            raise UnknownEdgeError(f"edge id {e} is not a host edge")
         n = g.n
         nv = n * n
         if len(ids) != nv - 1:
             raise NotASpanningTreeError(
                 "cardinality",
                 f"spanning tree of the {n}-grid needs {nv - 1} edges, got {len(ids)}")
-        mask = np.zeros(g.num_edges, dtype=bool)
-        if ids:
-            mask[np.asarray(ids, dtype=np.int64)] = True
-        parent_idx, depth_arr = _bfs_parents(g, np.asarray(ids, dtype=np.int64), root)
+        mask = np.zeros(ne, dtype=bool)
+        mask[ids] = True
+        ua, ub = g.edge_endpoint_indices(ids)
+        parent_idx, depth_arr, _, _ = _bfs(nv, ua, ub, g.vertex_index(root))
         visited = depth_arr >= 0
         if not visited.all():
-            ua, ub = g.edge_endpoint_indices(np.asarray(ids, dtype=np.int64))
             inside = visited[ua] & visited[ub]
             ncomp = int(visited.sum())
             if int(inside.sum()) > ncomp - 1:
@@ -380,7 +396,7 @@ class SpanningTree:
         chords = self.chord_ids()
         ua, ub = g.edge_endpoint_indices(chords)
         lengths = self._tables.cycle_lengths(ua, ub)
-        perims = self._tables.path_perimeters(ua, ub)
+        perims = _dual_perimeters(g.n, chords)
         L = int(lengths.sum())
         P = int(perims.sum())
         count = len(chords)
@@ -403,61 +419,128 @@ class SpanningTree:
         with open(path) as fh:
             lines = fh.read().splitlines()
 
-        def ints(i, shape):
-            """The integers of lines[i], laid out as shape."""
-            toks, words = lines[i].split(), shape.split()
-            key = [] if words[0].startswith("<") else words[:1]
-            if toks[:len(key)] == key and len(toks) == len(words):
-                try:
-                    return [int(t) for t in toks[len(key):]]
-                except ValueError:
-                    pass
-            raise ValueError(f"{path}:{i + 1}: expected '{shape}', got "
-                             f"{' '.join(toks)!r}")
-
         def header(start, shape):
             """The index after the first non-blank line from lines[start]
             on, and that line's integers."""
             for i in range(start, len(lines)):
                 if lines[i].strip():
-                    return i + 1, ints(i, shape)
-            raise ValueError(
-                f"{path}:{len(lines) + 1}: missing line '{shape}'")
+                    return i + 1, record_ints(path, i + 1, lines[i], shape)
+            raise missing_line(path, len(lines) + 1, shape)
 
         at, (n,) = header(0, "n <side>")
         at, (rx, ry) = header(at, "root <x> <y>")
         try:
             ids = [int(ln) for ln in lines[at:] if ln.strip()]
         except ValueError:
-            ids = [ints(i, "<edge-id>")[0] for i in range(at, len(lines))
-                   if lines[i].strip()]
+            ids = [record_ints(path, i + 1, lines[i], "<edge-id>")[0]
+                   for i in range(at, len(lines)) if lines[i].strip()]
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
 
 
-def _bfs_parents(g: GridGraph, edge_ids, root: Coord):
-    """Parent and depth arrays of the edge-induced graph, BFS from root.
+def _bfs(nv: int, ua, ub, root: int):
+    """One unweighted BFS from root over the graph on nodes 0..nv-1 with
+    edges {ua[i], ub[i]}.
 
-    Unreached vertices get depth -1.
+    Returns the parent and depth arrays (the root and unreached nodes are
+    their own parents; unreached nodes get depth -1), the visit order, and
+    its level bounds: the nodes of depth d are order[ends[d-1]:ends[d]].
     """
-    nv = g.num_vertices
-    ridx = g.vertex_index(root)
-    if len(edge_ids) == 0:
-        parent = np.arange(nv, dtype=np.int64)
-        depth = np.full(nv, -1, dtype=np.int64)
-        depth[ridx] = 0
-        return parent, depth
-    ua, ub = g.edge_endpoint_indices(edge_ids)
     rows = np.concatenate([ua, ub])
     cols = np.concatenate([ub, ua])
     data = np.ones(len(rows), dtype=np.int8)
     adj = csr_matrix((data, (rows, cols)), shape=(nv, nv))
-    dist, pred = dijkstra(adj, indices=ridx, unweighted=True,
-                          return_predecessors=True)
-    depth = np.where(np.isinf(dist), -1, dist).astype(np.int64)
-    parent = pred.astype(np.int64)
-    parent[parent < 0] = np.arange(nv, dtype=np.int64)[parent < 0]
-    parent[ridx] = ridx
-    return parent, depth
+    order, pred = breadth_first_order(adj, root, directed=True,
+                                      return_predecessors=True)
+    order = order.astype(np.int64)
+    parent = np.arange(nv, dtype=np.int64)
+    parent[order[1:]] = pred[order[1:]]
+    # BFS visits nodes in the order of their parents' visits, so parent
+    # positions never decrease along the order, and depth d + 1 ends where
+    # the nodes whose parents lie past depth d begin.
+    pos = np.empty(nv, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    up = pos[parent[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(up, ends[-1])))
+    depth = np.full(nv, -1, dtype=np.int64)
+    depth[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return parent, depth, order, ends
+
+
+def _dual_perimeters(n: int, chords) -> np.ndarray:
+    """Bounding-box perimeters of the fundamental cycles of a spanning tree
+    of the n-grid (n >= 2), given all of its chord ids.
+
+    The faces are the (n-1)^2 unit squares, indexed like vertices of the
+    (n-1)-grid by their lower-left corner, plus the outer face (n-1)^2.
+    The chords, each joining the two faces it separates, form the dual
+    spanning tree; rooted at the outer face, chord e's cycle is the
+    boundary of the faces in the subtree of e's face farther from the
+    root, so its box is that subtree's box.  Subtree boxes are folded into
+    parents one depth level at a time, deepest first.
+    """
+    m = n - 1
+    outer = m * m
+    chords = np.asarray(chords, dtype=np.int64)
+    horiz = chords < n * m
+    # Horizontal edge (x, y)-(x+1, y) has the id of the face above it;
+    # vertical edge (x, y)-(x, y+1) lies left of face (x, y).
+    h = chords[horiz]
+    y, x = np.divmod(chords[~horiz] - n * m, n)
+    v = y * m + x
+    fa = np.empty_like(chords)
+    fb = np.empty_like(chords)
+    fa[horiz] = np.where(h < outer, h, outer)
+    fb[horiz] = np.where(h >= m, h - m, outer)
+    fa[~horiz] = np.where(x < m, v, outer)
+    fb[~horiz] = np.where(x > 0, v - 1, outer)
+
+    parent, depth, order, ends = _bfs(outer + 1, fa, fb, outer)
+    face = np.arange(outer + 1, dtype=np.int64)
+    xmin = face % m + 1
+    ymin = face // m + 1
+    xmax = xmin + 1
+    ymax = ymin + 1
+    for d in range(len(ends) - 1, 0, -1):
+        kids = order[ends[d - 1]:ends[d]]
+        up = parent[kids]
+        np.minimum.at(xmin, up, xmin[kids])
+        np.maximum.at(xmax, up, xmax[kids])
+        np.minimum.at(ymin, up, ymin[kids])
+        np.maximum.at(ymax, up, ymax[kids])
+    child = np.where(depth[fa] > depth[fb], fa, fb)
+    return 2 * (xmax[child] - xmin[child]) + 2 * (ymax[child] - ymin[child])
+
+
+def missing_line(path, lineno: int, shape: str) -> ValueError:
+    """The error for a text file that ends before a line laid out as
+    ``shape``; ``lineno`` is the 1-based number the line would have had."""
+    return ValueError(f"{path}:{lineno}: missing line '{shape}'")
+
+
+def record_ints(path, lineno: int, line: str, shape: str) -> list[int]:
+    """The integers of one line of a text file, laid out as ``shape``.
+
+    ``shape`` lists the line's words: a literal keyword such as ``root``, or
+    a ``<field>`` that must be an integer.  A line of another layout raises
+    ``ValueError`` naming the file and the 1-based line number.
+    """
+    toks, words = line.split(), shape.split()
+    if len(toks) == len(words) and all(
+            w.startswith("<") or t == w for t, w in zip(toks, words)):
+        try:
+            return [int(t) for t, w in zip(toks, words) if w.startswith("<")]
+        except ValueError:
+            pass
+    raise malformed_line(path, lineno, line, shape)
+
+
+def malformed_line(path, lineno: int, line: str, shape: str) -> ValueError:
+    """The error for line ``lineno`` (1-based) of a text file, which is not
+    laid out as ``shape``."""
+    return ValueError(f"{path}:{lineno}: expected '{shape}', got "
+                      f"{' '.join(line.split())!r}")
 
 
 def tree_from_edges(g: GridGraph, edge_ids, root: Coord) -> SpanningTree:

@@ -364,3 +364,29 @@ def test_expanded_file_roundtrip(tmp_path):
     assert h2.duplicates == h.duplicates
     assert h2.xedges == h.xedges
     assert h2.xedge_lengths == h.xedge_lengths
+
+
+@pytest.mark.parametrize("text,where,expected", [
+    ("", "1", "missing line 'n <side>'"),
+    ("n 5\ndup 1 2\n", "2", "expected 'dup <id> <x> <y> <slot>', got 'dup 1 2'"),
+    ("n 5\nxedge h 1 1\n", "2",
+     "expected 'xedge <endpoint> <endpoint>', got 'xedge h 1 1'"),
+    ("n 5\nxedge h 1 1 d\n", "2",
+     "expected 'xedge h <x> <y> d <id>', got 'xedge h 1 1 d'"),
+    ("n 5\n\nxedge h 1 q d 0\n", "3",
+     "expected 'xedge h <x> <y> d <id>', got 'xedge h 1 q d 0'"),
+    ("n 5\nxedge d 0 d 1 2\n", "2",
+     "expected 'xedge d <id> d <id>', got 'xedge d 0 d 1 2'"),
+    ("n five\n", "1", "expected 'n <side>', got 'n five'"),
+    ("n 5\ndup 0 1 2 x\n", "2",
+     "expected 'dup <id> <x> <y> <slot>', got 'dup 0 1 2 x'"),
+    ("n 5\nloop 1\n", "2", "unknown record 'loop'"),
+], ids=["empty", "truncated_dup", "truncated_xedge", "truncated_endpoint",
+        "non_integer_endpoint", "extra_token", "non_integer_side",
+        "non_integer_slot", "unknown_record"])
+def test_expanded_file_malformed(tmp_path, text, where, expected):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        ExpandedGrid.from_file(path)
+    assert str(err.value) == f"{path}:{where}: {expected}"

@@ -91,3 +91,19 @@ def test_export_roundtrip(tmp_path):
     assert head == "8 12 20"
     m2 = EchelonMatrix.from_file(path)
     assert m2 == m
+
+
+@pytest.mark.parametrize("text,where,expected", [
+    ("", "1", "expected '<rows> <cols> <nnz>', got ''"),
+    ("8 12\n", "1", "expected '<rows> <cols> <nnz>', got '8 12'"),
+    ("2 3 2\n0 0\n1\n", "3", "expected '<row> <col>', got '1'"),
+    ("2 3 2\n0 0\n1 x\n", "3", "expected '<row> <col>', got '1 x'"),
+    ("2 3 two\n", "1", "expected '<rows> <cols> <nnz>', got '2 3 two'"),
+], ids=["empty", "truncated_header", "truncated_entry", "non_integer_entry",
+        "non_integer_header"])
+def test_matrix_file_malformed(tmp_path, text, where, expected):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        EchelonMatrix.from_file(path)
+    assert str(err.value) == f"{path}:{where}: {expected}"

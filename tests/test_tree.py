@@ -1,13 +1,20 @@
+import csv
+import io
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import comb_tree, explicit_cycle_length, rows_plus_column_tree
+from gridcycle import tree as tree_module
+from gridcycle.construction import build_tree
 from gridcycle.errors import (EmptyCycleError, NoChordsError, NotAChordError,
                               NotASpanningTreeError, UnknownEdgeError)
 from gridcycle.grid import make_grid
 from gridcycle.search import enumerate_spanning_trees, random_spanning_tree
-from gridcycle.tree import SpanningTree, cycle_box
+from gridcycle.tree import AncestorTables, SpanningTree, cycle_box
 
 
 def t3_rows_plus_central_column():
@@ -21,6 +28,12 @@ def test_tree_from_edges_path_tree():
     t = SpanningTree.from_edges(g, ids, (2, 1))
     assert t.depth((1, 2)) == 2
     assert t.depth((2, 1)) == 0
+    for given in (set(ids), tuple(reversed(ids)), np.array(ids),
+                  np.array(ids, dtype=np.int32), iter(ids)):
+        same = SpanningTree.from_edges(g, given, (2, 1))
+        assert np.array_equal(same.tree_edge_mask, t.tree_edge_mask)
+        assert np.array_equal(same.parent_idx, t.parent_idx)
+        assert np.array_equal(same.depth_arr, t.depth_arr)
 
 
 def test_tree_from_edges_cardinality_error():
@@ -28,6 +41,12 @@ def test_tree_from_edges_cardinality_error():
     with pytest.raises(NotASpanningTreeError) as err:
         SpanningTree.from_edges(g, [0, 1, 2, 3], (2, 1))
     assert err.value.cause == "cardinality"
+    # Duplicates are reported before out-of-range ids.
+    for ids in ([0, 0, 1], [0, 0, 99], [-1, 2, 2], np.array([3, 99, 3])):
+        with pytest.raises(NotASpanningTreeError) as err:
+            SpanningTree.from_edges(g, ids, (2, 1))
+        assert err.value.cause == "cardinality"
+        assert str(err.value).endswith("duplicate edge ids")
 
 
 def test_tree_from_edges_cyclic_and_disconnected():
@@ -58,6 +77,12 @@ def test_tree_rejects_unknown_edge():
     g = make_grid(2)
     with pytest.raises(UnknownEdgeError):
         SpanningTree.from_edges(g, [0, 1, 99], (2, 1))
+    # The message names the smallest bad id; range beats cardinality.
+    for ids, bad in (([0, 1, -1], -1), ([99, -5, 4], -5), ([4, 7], 4),
+                     ({2, 8, 5}, 5), (np.array([1, 4]), 4)):
+        with pytest.raises(UnknownEdgeError,
+                           match=f"^edge id {bad} is not a host edge$"):
+            SpanningTree.from_edges(g, ids, (2, 1))
 
 
 def test_fundamental_cycle_t3():
@@ -182,10 +207,77 @@ def test_tree_file_roundtrip(tmp_path):
     assert set(t2.tree_edge_ids().tolist()) == set(t.tree_edge_ids().tolist())
 
 
-def test_stats_csv(tmp_path):
+def test_stats_csv(tmp_path, monkeypatch):
     stats = comb_tree(make_grid(3)).total_length()
     path = tmp_path / "stats.csv"
     stats.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "edge_id,length,perimeter"
     assert len(lines) == 1 + 4
+
+    stats = random_spanning_tree(make_grid(8), 3).total_length()
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(["edge_id", "length", "perimeter"])
+    for rec in stats.records():
+        out.writerow(rec)
+    expected = expected.getvalue().encode()
+    assert expected.count(b"\r\n") == 1 + 49
+    stats.to_csv(path)
+    assert path.read_bytes() == expected
+    # Chunks that split the rows unevenly write the same bytes.
+    for chunk in (1, 5, 49):
+        monkeypatch.setattr(tree_module, "_CSV_CHUNK", chunk)
+        stats.to_csv(path)
+        assert path.read_bytes() == expected
+
+
+# -- dual-tree cycle boxes ------------------------------------------------------
+
+def assert_perimeters_match_explicit_cycles(t):
+    stats = t.total_length()
+    for eid, perim in zip(stats.edge_ids.tolist(),
+                          stats.perimeters.tolist()):
+        assert perim == cycle_box(t.fundamental_cycle(eid)).perimeter, eid
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+def test_dual_perimeters_match_explicit_cycles_uniform(n):
+    for seed in range(4):
+        assert_perimeters_match_explicit_cycles(
+            random_spanning_tree(make_grid(n), seed))
+
+
+@pytest.mark.parametrize("n", [7, 16, 33])
+def test_dual_perimeters_match_explicit_cycles_construction(n):
+    assert_perimeters_match_explicit_cycles(build_tree(n))
+
+
+def test_dual_perimeters_match_explicit_cycles_comb():
+    # The comb's chords nest in long chains: its dual tree is deep.
+    for n in (2, 3, 6, 11):
+        assert_perimeters_match_explicit_cycles(comb_tree(make_grid(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_dual_perimeters_match_explicit_cycles_property(n, seed):
+    assert_perimeters_match_explicit_cycles(
+        random_spanning_tree(make_grid(n), seed))
+
+
+@pytest.mark.parametrize("make", [lambda: build_tree(256),
+                                  lambda: random_spanning_tree(make_grid(64),
+                                                               7)],
+                         ids=["build_tree_256", "uniform_64"])
+def test_dual_perimeters_match_lifted_boxes(make):
+    t = make()
+    stats = t.total_length()
+    n = t.n
+    idx = np.arange(n * n)
+    lifted = AncestorTables(t.parent_idx, t.depth_arr, idx % n + 1,
+                            idx // n + 1)
+    ua, ub = t.host.edge_endpoint_indices(stats.edge_ids)
+    assert np.array_equal(stats.perimeters, lifted.path_perimeters(ua, ub))
+    # Host trees take their boxes from the dual tree alone.
+    assert t._tables._boxes is None
