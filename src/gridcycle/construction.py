@@ -40,11 +40,9 @@ RECORDED_SMALL_VALUES = {1: 0, 2: 4, 3: 16, 4: 42}
 
 @dataclass(frozen=True)
 class PlacedBlock:
-    """One recursive copy: its subgrid, mirroring, and recursion label."""
+    """One recursive copy: its subgrid and recursion label."""
 
     subgrid: SubgridRef
-    flip_h: bool
-    flip_v: bool
     child_order: int
 
 
@@ -118,20 +116,20 @@ def top_level_blocks(n: int) -> list[PlacedBlock]:
     if n % 2 == 1:
         m = (n - 1) // 2
         rects = [
-            (SubgridRef(1, m, 2, m + 1), False),
-            (SubgridRef(1, m, m + 2, n), False),
-            (SubgridRef(m + 2, n, 2, m + 1), True),
-            (SubgridRef(m + 2, n, m + 2, n), True),
+            SubgridRef(1, m, 2, m + 1),
+            SubgridRef(1, m, m + 2, n),
+            SubgridRef(m + 2, n, 2, m + 1),
+            SubgridRef(m + 2, n, m + 2, n),
         ]
     else:
         h = n // 2
         rects = [
-            (SubgridRef(1, h, 1, h), False),
-            (SubgridRef(1, h, h + 1, n), False),
-            (SubgridRef(h + 1, n, h + 1, n), True),
-            (SubgridRef(h + 2, n, 2, h), True),
+            SubgridRef(1, h, 1, h),
+            SubgridRef(1, h, h + 1, n),
+            SubgridRef(h + 1, n, h + 1, n),
+            SubgridRef(h + 2, n, 2, h),
         ]
-    return [PlacedBlock(r, f, False, i + 1) for i, (r, f) in enumerate(rects)]
+    return [PlacedBlock(r, i + 1) for i, r in enumerate(rects)]
 
 
 def _block_labels(g: GridGraph, n: int) -> np.ndarray:

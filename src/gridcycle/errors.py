@@ -65,6 +65,17 @@ class MalformedEdgeError(GridCycleError, ValueError):
     duplicate."""
 
 
+class MalformedFileError(GridCycleError, ValueError):
+    """A line of a tree, expanded-grid or matrix file is missing or not laid
+    out as its record requires; ``path`` names the file and ``lineno`` the
+    1-based line."""
+
+    def __init__(self, path, lineno, message):
+        super().__init__(f"{path}:{lineno}: {message}")
+        self.path = path
+        self.lineno = lineno
+
+
 class NotDrawableError(GridCycleError, ValueError):
     """The extra edges of an expanded grid admit no planar outer embedding
     with duplicates pinned near their bases."""

@@ -17,17 +17,26 @@ vertices into boundary edges, and demote surviving outside branch vertices
 to duplicates of their nearest subgrid-boundary vertex.  The result is again
 an expanded grid (host coordinates shifted to 1-based; the original offset
 is kept in ``origin``) together with its spanning tree.
+
+Contraction runs on preorder ranges.  Each tree lays itself out once along
+a DFS preorder, in which every subtree is one contiguous range; the 25 tile
+contractions of a tree share that layout and differ only in which vertices
+they mark, so a tile's Steiner tree comes from prefix sums over the marks
+with no step per node or per depth level.  Every contracted grid is still
+validated like any other, the planarity check of its extra edges included;
+that check is now most of a contraction's cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from .errors import (
     CounterexampleError,
@@ -35,6 +44,7 @@ from .errors import (
     EmptyCycleError,
     GridCycleError,
     MalformedEdgeError,
+    MalformedFileError,
     NotDrawableError,
     OutOfRangeError,
     UnknownEdgeError,
@@ -209,8 +219,9 @@ class ExpandedGrid:
 
     @staticmethod
     def from_file(path) -> "ExpandedGrid":
-        """Read an expanded-grid file.  A missing or malformed record raises
-        ``ValueError`` naming the file and the line number."""
+        """Read an expanded-grid file.  A missing or malformed record, or a
+        duplicate id out of the order 0, 1, 2, ..., raises
+        :class:`MalformedFileError` naming the file and the line number."""
         n = None
         dups = []
         xedges = []
@@ -225,11 +236,14 @@ class ExpandedGrid:
             elif tok[0] == "dup":
                 d, x, y, slot = record_ints(path, i, line,
                                             "dup <id> <x> <y> <slot>")
+                if d != len(dups):
+                    raise MalformedFileError(
+                        path, i, f"expected duplicate id {len(dups)}, got {d}")
                 dups.append(Duplicate(d, (x, y), slot))
             elif tok[0] == "xedge":
                 xedges.append(_xedge_record(path, i, line))
             else:
-                raise ValueError(f"{path}:{i}: unknown record {tok[0]!r}")
+                raise MalformedFileError(path, i, f"unknown record {tok[0]!r}")
         if n is None:
             raise missing_line(path, len(lines) + 1, "n <side>")
         return ExpandedGrid(GridGraph(n), dups, xedges)
@@ -273,10 +287,10 @@ class XSpanningTree:
         self.grid = grid
         host = grid.host
         self.host_edge_mask = np.zeros(host.num_edges, dtype=bool)
-        hids = np.asarray(sorted(int(e) for e in host_edge_ids), dtype=np.int64)
-        if len(hids) != len(set(hids.tolist())):
+        hids = np.sort(np.asarray(host_edge_ids, dtype=np.int64))
+        if (hids[1:] == hids[:-1]).any():
             raise GridCycleError("duplicate host edge ids")
-        if len(hids) and (hids.min() < 0 or hids.max() >= host.num_edges):
+        if len(hids) and (hids[0] < 0 or hids[-1] >= host.num_edges):
             raise UnknownEdgeError("host edge id out of range")
         self.host_edge_mask[hids] = True
         self.xedge_indices = tuple(sorted(int(i) for i in xedge_indices))
@@ -295,19 +309,13 @@ class XSpanningTree:
         self.root_ref = root_ref
         ridx = grid.ref_index(root_ref)
 
-        ua_h, ub_h = host.edge_endpoint_indices(hids)
-        pairs = [(int(a), int(b)) for a, b in zip(ua_h, ub_h)]
-        for i in self.xedge_indices:
-            a, b = grid.xedges[i]
-            pairs.append((grid.ref_index(a), grid.ref_index(b)))
-        rows = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-        cols = np.array([p[1] for p in pairs] + [p[0] for p in pairs])
-        if len(pairs) == 0:
+        ua, ub = self._edge_endpoints(hids)
+        if total == 0:
             parent = np.arange(nn, dtype=np.int64)
             depth = np.zeros(nn, dtype=np.int64)
         else:
-            adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                             shape=(nn, nn))
+            adj = _adjacency(np.concatenate([ua, ub]),
+                             np.concatenate([ub, ua]), nn)
             dist, pred = dijkstra(adj, indices=ridx, unweighted=True,
                                   return_predecessors=True)
             if np.isinf(dist).any():
@@ -319,16 +327,26 @@ class XSpanningTree:
         self.depth_arr = depth
         xs, ys = grid.node_positions()
         self.tables = AncestorTables(parent, depth, xs, ys)
+        self._ranges = None
         self._wdepth = None
         self._edge_length_of = None
+
+    def _edge_endpoints(self, hids):
+        """Node indices (ua, ub) of the tree edges: the host edges ``hids``,
+        then the extra edges in ``xedge_indices`` order."""
+        grid = self.grid
+        ua, ub = grid.host.edge_endpoint_indices(hids)
+        xa = [grid.ref_index(grid.xedges[i][0]) for i in self.xedge_indices]
+        xb = [grid.ref_index(grid.xedges[i][1]) for i in self.xedge_indices]
+        return (np.concatenate([ua, np.asarray(xa, dtype=np.int64)]),
+                np.concatenate([ub, np.asarray(xb, dtype=np.int64)]))
 
     @staticmethod
     def from_host_tree(t: SpanningTree, grid: ExpandedGrid | None = None
                        ) -> "XSpanningTree":
         if grid is None:
             grid = plain(t.host)
-        return XSpanningTree(grid, [int(e) for e in t.tree_edge_ids()], [],
-                             t.root)
+        return XSpanningTree(grid, t.tree_edge_ids(), [], t.root)
 
     # -- basics --------------------------------------------------------------
 
@@ -358,18 +376,23 @@ class XSpanningTree:
             self._edge_length_of = table
         return self._edge_length_of
 
+    def _preorder_ranges(self) -> "_TreeRanges":
+        """The tree's DFS preorder and every subtree as a preorder range,
+        with each node's parent edge; computed once and shared by every
+        contraction of this tree."""
+        if self._ranges is None:
+            self._ranges = _TreeRanges.of(self)
+        return self._ranges
+
     def wdepth(self) -> np.ndarray:
         """Length-weighted depth (sum of edge lengths on the root path)."""
         if self._wdepth is None:
-            lengths = self._edge_lengths()
-            order = np.argsort(self.depth_arr, kind="stable")
-            wd = np.zeros(self.grid.num_nodes, dtype=np.int64)
-            for v in order.tolist():
-                p = int(self.parent_idx[v])
-                if p != v:
-                    key = (min(v, p), max(v, p))
-                    wd[v] = wd[p] + lengths[key]
-            self._wdepth = wd
+            r = self._preorder_ranges()
+            # Each parent-edge length counts on its node's preorder range.
+            diff = np.zeros(len(r.pre) + 1, dtype=np.int64)
+            diff[r.pre] = r.edge_length
+            np.subtract.at(diff, r.pre + r.size, r.edge_length)
+            self._wdepth = np.cumsum(diff)[r.pre]
         return self._wdepth
 
     def path_refs(self, ref_u, ref_v) -> list:
@@ -447,6 +470,73 @@ def walk_length(t: XSpanningTree, walk) -> int:
 # -- contraction -------------------------------------------------------------
 
 
+class _TreeRanges(NamedTuple):
+    """A rooted tree laid out along one DFS preorder.
+
+    Node v's subtree is the preorder range ``[pre[v], pre[v] + size[v])``
+    (the Euler-tour technique of Tarjan and Vishkin).  ``edge[v]`` codes
+    v's parent edge: a host edge id, or ``num_edges`` plus an extra-edge
+    index; -1 at the root.  ``edge_length`` is that edge's length.
+    """
+
+    order: np.ndarray
+    pre: np.ndarray
+    size: np.ndarray
+    edge: np.ndarray
+    edge_length: np.ndarray
+
+    @staticmethod
+    def of(t: XSpanningTree) -> "_TreeRanges":
+        grid = t.grid
+        nn = grid.num_nodes
+        par, depth = t.parent_idx, t.depth_arr
+        root = grid.ref_index(t.root_ref)
+        idx = np.arange(nn)
+        pre = np.empty(nn, dtype=np.int64)
+        order = _preorder(par, root)
+        pre[order] = idx
+        # The preorder of the tree relabelled v -> nn-1-v visits every
+        # node's children in reverse, so reversed it is the postorder.
+        flip = _preorder(nn - 1 - par[::-1], nn - 1 - root)
+        post = np.empty(nn, dtype=np.int64)
+        post[nn - 1 - flip[::-1]] = idx
+        size = post - pre + depth + 1
+
+        hids = np.nonzero(t.host_edge_mask)[0]
+        ua, ub = t._edge_endpoints(hids)
+        code = np.concatenate([hids, grid.host.num_edges
+                               + np.asarray(t.xedge_indices, dtype=np.int64)])
+        length = np.concatenate([np.ones(len(hids), dtype=np.int64),
+                                 np.asarray([grid.xedge_lengths[i]
+                                             for i in t.xedge_indices],
+                                            dtype=np.int64)])
+        child = np.where(par[ub] == ua, ub, ua)
+        edge = np.full(nn, -1, dtype=np.int64)
+        edge_length = np.zeros(nn, dtype=np.int64)
+        edge[child] = code
+        edge_length[child] = length
+        return _TreeRanges(order, pre, size, edge, edge_length)
+
+
+def _preorder(parent: np.ndarray, root: int) -> np.ndarray:
+    """DFS preorder of the tree given by ``parent`` (``parent[root] ==
+    root``), visiting every node's children by ascending index."""
+    nn = len(parent)
+    kids = np.nonzero(parent != np.arange(nn))[0]
+    return depth_first_order(_adjacency(parent[kids], kids, nn), root,
+                             return_predecessors=False)
+
+
+def _adjacency(rows, cols, nn: int) -> csr_matrix:
+    """The nn x nn matrix with a 1 at every (rows[i], cols[i]), each row's
+    columns in input order, in the float64/int32 layout that scipy's graph
+    traversals take without a conversion."""
+    indptr = np.zeros(nn + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
+    cols = cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    return csr_matrix((np.ones(len(cols)), cols, indptr), shape=(nn, nn))
+
+
 def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
              ) -> tuple[ExpandedGrid, XSpanningTree]:
     """Contract an expanded grid and its spanning tree to a subgrid.
@@ -456,6 +546,17 @@ def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
     demotes outside branch vertices to duplicates based at the L1-nearest
     subgrid boundary vertex.  Output host coordinates are shifted to
     1..side; the shift is recorded in the result's ``origin``.
+
+    The Steiner tree comes from t's preorder ranges, computed once per tree
+    and shared by all its contractions: a subtree's count of subgrid
+    vertices is one prefix-sum difference, and each kept vertex finds its
+    nearest kept ancestor by pointer jumping.  No step runs per node or per
+    depth level; only the outside branch vertices and the extra edges are
+    visited one by one.  Extra edges come in the order of a walk over the
+    kept vertices by index, each emitting its chains toward the subgrid's
+    lower-left corner first, then by host edge id, then by extra-edge
+    index.  The result is validated as any expanded grid is, planarity of
+    its extra edges included.
     """
     host = h.host
     n = host.n
@@ -470,116 +571,100 @@ def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
         return h, t
     x_off, y_off = sub.x_lo - 1, sub.y_lo - 1
     out_host = GridGraph(side)
-
-    nn = h.num_nodes
-    nv = host.num_vertices
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nn)]
-    hids = np.nonzero(t.host_edge_mask)[0]
-    ua, ub = host.edge_endpoint_indices(hids)
-    for eid, a, b in zip(hids.tolist(), ua.tolist(), ub.tolist()):
-        adj[a].append((b, 0, eid))
-        adj[b].append((a, 0, eid))
-    for i in t.xedge_indices:
-        a, b = h.xedges[i]
-        ia, ib = h.ref_index(a), h.ref_index(b)
-        adj[ia].append((ib, 1, i))
-        adj[ib].append((ia, 1, i))
-
-    marked = np.zeros(nn, dtype=bool)
-    for y in range(sub.y_lo, sub.y_hi + 1):
-        base = (y - 1) * n
-        marked[base + sub.x_lo - 1: base + sub.x_hi] = True
-    total_marked = int(marked.sum())
-
     if side == 1:
         out_grid = ExpandedGrid(out_host, origin=(x_off, y_off))
         return out_grid, XSpanningTree(out_grid, [], [], (1, 1))
 
+    r = t._preorder_ranges()
+    par, depth = t.parent_idx, t.depth_arr
+    nn = h.num_nodes
+    nv = host.num_vertices
+    marked = np.zeros(nn, dtype=bool)
+    marked[:nv].reshape(n, n)[sub.y_lo - 1:sub.y_hi,
+                              sub.x_lo - 1:sub.x_hi] = True
+
     # Steiner subtree: keep tree edges with marked vertices on both sides.
-    root = (sub.y_lo - 1) * n + (sub.x_lo - 1)
-    parent = [-1] * nn
-    parent_edge = [None] * nn
-    order = [root]
-    parent[root] = root
-    for u in order:
-        for w, kind, key in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                parent_edge[w] = (kind, key)
-                order.append(w)
-    cnt = [1 if marked[v] else 0 for v in range(nn)]
-    for u in reversed(order):
-        p = parent[u]
-        if p != u and p >= 0:
-            cnt[p] += cnt[u]
-    sadj: list[list[tuple[int, int, int]]] = [[] for _ in range(nn)]
-    for u in order:
-        p = parent[u]
-        if p != u and cnt[u] >= 1 and total_marked - cnt[u] >= 1:
-            kind, key = parent_edge[u]
-            sadj[u].append((p, kind, key))
-            sadj[p].append((u, kind, key))
+    cs = np.zeros(nn + 1, dtype=np.int64)
+    np.cumsum(marked[r.order], out=cs[1:])
+    cnt = cs[r.pre + r.size] - cs[r.pre]
+    steiner = (cnt >= 1) & (cnt <= side * side - 1)
+    kids = np.nonzero(steiner)[0]
+    deg = (np.bincount(kids, minlength=nn)
+           + np.bincount(par[kids], minlength=nn))
+    keep = marked | (deg >= 3)
 
-    keep = [False] * nn
-    for v in range(nn):
-        if marked[v] or len(sadj[v]) >= 3:
-            keep[v] = True
+    # The Steiner tree on its own nodes, in ascending node order; its top
+    # is the one node without a Steiner parent edge.
+    s_nodes = np.nonzero(deg)[0]
+    loc = np.empty(nn, dtype=np.int64)
+    loc[s_nodes] = np.arange(len(s_nodes))
+    top = int(loc[s_nodes[~steiner[s_nodes]][0]])
+    s_par = loc[par[s_nodes]]
+    s_par[top] = top
+    s_keep = keep[s_nodes]
+    # Pointer jumping to the first kept node at or above each node, and to
+    # the first node whose parent is kept.
+    s_idx = np.arange(len(s_nodes))
+    kept_at = np.where(s_keep, s_idx, s_par)
+    below_kept = np.where(s_keep[s_par], s_idx, s_par)
+    s_depth = depth[s_nodes]
+    for _ in range(int(s_depth.max() - s_depth[top]).bit_length()):
+        kept_at = kept_at[kept_at]
+        below_kept = below_kept[below_kept]
 
-    # Suppress chains of unkept degree-2 vertices.
-    out_host_edges: list[int] = []
-    chains: list[tuple[int, int, int]] = []  # (kept_u, kept_v, H-length)
-    seen = set()
+    # One chain per kept node below the top, up to its nearest kept
+    # ancestor.  Below an unkept top, the two chains that reach it join.
+    low = np.nonzero(s_keep)[0]
+    low = low[low != top]
+    up = kept_at[s_par[low]]
+    join = (up == top) & ~s_keep[top]
+    corner = r.pre[(sub.y_lo - 1) * n + sub.x_lo - 1]
 
-    def edge_token(a, b, kind, key):
-        return (min(a, b), max(a, b), kind, key)
+    def toward_corner(v):
+        """Whether v's parent edge leads from v toward the lower-left
+        corner: the corner lies outside v's subtree."""
+        return (corner < r.pre[v]) | (corner >= r.pre[v] + r.size[v])
 
-    for u in range(nn):
-        if not keep[u]:
-            continue
-        for w0, kind0, key0 in sadj[u]:
-            tok = edge_token(u, w0, kind0, key0)
-            if tok in seen:
-                continue
-            seen.add(tok)
-            total_len = 1 if kind0 == 0 else h.xedge_lengths[key0]
-            cur = w0
-            nhops = 1
-            arrival = tok
-            while not keep[cur]:
-                w, kind, key = next(
-                    (e for e in sadj[cur]
-                     if edge_token(cur, e[0], e[1], e[2]) != arrival))
-                arrival = edge_token(cur, w, kind, key)
-                seen.add(arrival)
-                total_len += 1 if kind == 0 else h.xedge_lengths[key]
-                cur = w
-                nhops += 1
-            if nhops == 1 and kind0 == 0 and marked[u] and marked[cur]:
-                e = host.edge(key0)
-                a = (e.a[0] - x_off, e.a[1] - y_off)
-                b = (e.b[0] - x_off, e.b[1] - y_off)
-                out_host_edges.append(out_host.edge_id(a, b))
-            else:
-                chains.append((u, cur, total_len))
+    g_low, g_up = s_nodes[low], s_nodes[up]
+    # A chain is emitted from its endpoint of lower index, along the edge
+    # it starts with there: the chain's first edge or the parent edge of
+    # the node just below its upper end.
+    from_low = low < up
+    first = np.where(from_low, g_low, s_nodes[below_kept[low]])
+    host_edge = ((depth[g_low] - depth[g_up] == 1)
+                 & (r.edge[g_low] < host.num_edges)
+                 & marked[g_low] & marked[g_up])
+    chain = ~host_edge & ~join
+    a = np.where(from_low, g_low, g_up)[chain]
+    b = np.where(from_low, g_up, g_low)[chain]
+    toward = (toward_corner(first) == from_low)[chain]
+    edge = r.edge[first[chain]]
+    if join.any():
+        ja, jb = np.sort(g_low[join])
+        a, b = np.append(a, ja), np.append(b, jb)
+        toward = np.append(toward, toward_corner(ja))
+        edge = np.append(edge, r.edge[ja])
+    order = np.lexsort((edge, ~toward, a))
+    a, b = a[order], b[order]
+
+    # Host edges between subgrid vertices, renumbered in the side-grid.
+    ua, ub = host.edge_endpoint_indices(r.edge[g_low[host_edge]])
+    ux, uy = ua % n - x_off, ua // n - y_off
+    out_host_edges = np.where(ub - ua == 1, uy * (side - 1) + ux,
+                              side * (side - 1) + uy * side + ux)
 
     # Branch vertices outside the subgrid become duplicates.
-    def position(v):
-        if v < nv:
-            return host.vertex_at(v)
-        return h.duplicates[v - nv].base
-
-    branch = sorted(v for v in range(nn) if keep[v] and not marked[v])
+    xs, ys = t.tables.xs, t.tables.ys
     sub_local = SubgridRef(1, side, 1, side)
     dup_info = []
-    for v in branch:
-        px, py = position(v)
-        bx, by = sub_local.clamp((px - x_off, py - y_off))
-        dup_info.append((v, (bx, by)))
-    dup_info.sort(key=lambda it: (out_host.boundary_position(it[1]), it[0]))
+    for v in np.nonzero(keep & ~marked)[0].tolist():
+        base = sub_local.clamp((int(xs[v]) - x_off, int(ys[v]) - y_off))
+        dup_info.append((out_host.boundary_position(base), v, base))
+    dup_info.sort()
     dup_of = {}
     duplicates = []
     slot_counter = {}
-    for k, (v, base) in enumerate(dup_info):
+    for k, (_, v, base) in enumerate(dup_info):
         slot = slot_counter.get(base, 0)
         slot_counter[base] = slot + 1
         duplicates.append(Duplicate(k, base, slot))
@@ -588,10 +673,10 @@ def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
     def out_ref(v):
         if v in dup_of:
             return ("d", dup_of[v])
-        x, y = host.vertex_at(v)
-        return (x - x_off, y - y_off)
+        return (int(xs[v]) - x_off, int(ys[v]) - y_off)
 
-    out_xedges = [(out_ref(u), out_ref(v)) for u, v, _ in chains]
+    out_xedges = [(out_ref(u), out_ref(v))
+                  for u, v in zip(a.tolist(), b.tolist())]
     out_grid = ExpandedGrid(out_host, duplicates, out_xedges,
                             origin=(x_off, y_off))
     out_tree = XSpanningTree(out_grid, out_host_edges,

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EmptyMatroidError
+from .errors import EmptyMatroidError, MalformedFileError
 from .grid import GridGraph
 from .tree import SpanningTree, record_ints
 
@@ -34,12 +32,6 @@ class EchelonMatrix:
     def column_support(self, col: int):
         return [r for r, c in self.entries if c == col]
 
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for r, c in self.entries:
-            m[r, c] ^= 1
-        return m
-
     def to_file(self, path) -> None:
         """Coordinate text format: header "rows cols nnz", one "row col" pair
         per 1, 0-based, in row-major order."""
@@ -50,8 +42,9 @@ class EchelonMatrix:
 
     @staticmethod
     def from_file(path) -> "EchelonMatrix":
-        """Read a matrix file.  A malformed line raises ``ValueError``
-        naming the file and the line number."""
+        """Read a matrix file.  A malformed line, or an entry count other
+        than the header's, raises :class:`MalformedFileError` naming the
+        file and the line number (the header's for the count)."""
         with open(path) as fh:
             lines = fh.read().splitlines()
         n_rows, n_cols, nnz = record_ints(path, 1, (lines or [""])[0],
@@ -59,7 +52,8 @@ class EchelonMatrix:
         entries = tuple(tuple(record_ints(path, i, ln, "<row> <col>"))
                         for i, ln in enumerate(lines[1:], 2) if ln.strip())
         if len(entries) != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, got {len(entries)}")
+            raise MalformedFileError(
+                path, 1, f"expected {nnz} entries, got {len(entries)}")
         return EchelonMatrix(n_rows, n_cols, entries)
 
 

@@ -29,6 +29,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     EmptyCycleError,
+    MalformedFileError,
     NoChordsError,
     NotAChordError,
     NotASpanningTreeError,
@@ -415,7 +416,7 @@ class SpanningTree:
     @staticmethod
     def from_file(path) -> "SpanningTree":
         """Read a tree file.  A missing or malformed line raises
-        ``ValueError`` naming the file and the line number."""
+        :class:`MalformedFileError` naming the file and the line number."""
         with open(path) as fh:
             lines = fh.read().splitlines()
 
@@ -513,10 +514,10 @@ def _dual_perimeters(n: int, chords) -> np.ndarray:
     return 2 * (xmax[child] - xmin[child]) + 2 * (ymax[child] - ymin[child])
 
 
-def missing_line(path, lineno: int, shape: str) -> ValueError:
+def missing_line(path, lineno: int, shape: str) -> MalformedFileError:
     """The error for a text file that ends before a line laid out as
     ``shape``; ``lineno`` is the 1-based number the line would have had."""
-    return ValueError(f"{path}:{lineno}: missing line '{shape}'")
+    return MalformedFileError(path, lineno, f"missing line '{shape}'")
 
 
 def record_ints(path, lineno: int, line: str, shape: str) -> list[int]:
@@ -524,7 +525,7 @@ def record_ints(path, lineno: int, line: str, shape: str) -> list[int]:
 
     ``shape`` lists the line's words: a literal keyword such as ``root``, or
     a ``<field>`` that must be an integer.  A line of another layout raises
-    ``ValueError`` naming the file and the 1-based line number.
+    :class:`MalformedFileError` naming the file and the 1-based line number.
     """
     toks, words = line.split(), shape.split()
     if len(toks) == len(words) and all(
@@ -536,11 +537,12 @@ def record_ints(path, lineno: int, line: str, shape: str) -> list[int]:
     raise malformed_line(path, lineno, line, shape)
 
 
-def malformed_line(path, lineno: int, line: str, shape: str) -> ValueError:
+def malformed_line(path, lineno: int, line: str,
+                   shape: str) -> MalformedFileError:
     """The error for line ``lineno`` (1-based) of a text file, which is not
     laid out as ``shape``."""
-    return ValueError(f"{path}:{lineno}: expected '{shape}', got "
-                      f"{' '.join(line.split())!r}")
+    return MalformedFileError(path, lineno, f"expected '{shape}', got "
+                              f"{' '.join(line.split())!r}")
 
 
 def tree_from_edges(g: GridGraph, edge_ids, root: Coord) -> SpanningTree:

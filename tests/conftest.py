@@ -5,7 +5,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gridcycle.grid import GridGraph
+import numpy as np
+
+from gridcycle.errors import GridCycleError, OutOfRangeError
+from gridcycle.expanded import Duplicate, ExpandedGrid, XSpanningTree
+from gridcycle.grid import GridGraph, SubgridRef
 from gridcycle.search import LocalSearchResult, SearchBudget
 from gridcycle.tree import SpanningTree
 
@@ -27,6 +31,23 @@ def rows_plus_column_tree(g: GridGraph, column: int) -> SpanningTree:
         ids += [g.edge_id((x, y), (x + 1, y)) for x in range(1, n)]
     ids += [g.edge_id((column, y), (column, y + 1)) for y in range(1, n)]
     return SpanningTree.from_edges(g, ids, (n, 1))
+
+
+def spiral_tree(g: GridGraph) -> SpanningTree:
+    """The Hamiltonian path spiralling inward from (1, 1), rooted there:
+    the deepest tree of the grid, depth n^2 - 1."""
+    x0, y0, x1, y1 = 1, 1, g.n, g.n
+    path = []
+    while x0 <= x1 and y0 <= y1:
+        path += [(x, y0) for x in range(x0, x1 + 1)]
+        path += [(x1, y) for y in range(y0 + 1, y1 + 1)]
+        if y0 < y1:
+            path += [(x, y1) for x in range(x1 - 1, x0 - 1, -1)]
+        if x0 < x1:
+            path += [(x0, y) for y in range(y1 - 1, y0, -1)]
+        x0, y0, x1, y1 = x0 + 1, y0 + 1, x1 - 1, y1 - 1
+    ids = [g.edge_id(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    return SpanningTree.from_edges(g, ids, (1, 1))
 
 
 def explicit_cycle_length(t: SpanningTree, eid: int) -> int:
@@ -98,3 +119,151 @@ def reference_local_search(g: GridGraph, t0: SpanningTree,
             optimum = True
             break
     return LocalSearchResult(current, cur_L, evals, exhausted, optimum)
+
+
+def reference_contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
+                       ) -> tuple[ExpandedGrid, XSpanningTree]:
+    """The per-node Python contraction that ``expanded.contract`` must
+    match: adjacency lists and a BFS from the subgrid's lower-left corner,
+    subtree counts folded up the BFS order, then a walk along every chain of
+    unkept Steiner vertices from its kept endpoint of lower node index."""
+    host = h.host
+    n = host.n
+    if not (1 <= sub.x_lo <= sub.x_hi <= n and 1 <= sub.y_lo <= sub.y_hi <= n):
+        raise OutOfRangeError(f"{sub} is not a subgrid of the {n}-grid")
+    if sub.x_hi - sub.x_lo != sub.y_hi - sub.y_lo:
+        raise OutOfRangeError(f"{sub} is not square")
+    if t.grid is not h:
+        raise GridCycleError("tree does not belong to the given expanded grid")
+    side = sub.side
+    if side == n:
+        return h, t
+    x_off, y_off = sub.x_lo - 1, sub.y_lo - 1
+    out_host = GridGraph(side)
+
+    nn = h.num_nodes
+    nv = host.num_vertices
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nn)]
+    hids = np.nonzero(t.host_edge_mask)[0]
+    ua, ub = host.edge_endpoint_indices(hids)
+    for eid, a, b in zip(hids.tolist(), ua.tolist(), ub.tolist()):
+        adj[a].append((b, 0, eid))
+        adj[b].append((a, 0, eid))
+    for i in t.xedge_indices:
+        a, b = h.xedges[i]
+        ia, ib = h.ref_index(a), h.ref_index(b)
+        adj[ia].append((ib, 1, i))
+        adj[ib].append((ia, 1, i))
+
+    marked = np.zeros(nn, dtype=bool)
+    for y in range(sub.y_lo, sub.y_hi + 1):
+        base = (y - 1) * n
+        marked[base + sub.x_lo - 1: base + sub.x_hi] = True
+    total_marked = int(marked.sum())
+
+    if side == 1:
+        out_grid = ExpandedGrid(out_host, origin=(x_off, y_off))
+        return out_grid, XSpanningTree(out_grid, [], [], (1, 1))
+
+    # Steiner subtree: keep tree edges with marked vertices on both sides.
+    root = (sub.y_lo - 1) * n + (sub.x_lo - 1)
+    parent = [-1] * nn
+    parent_edge = [None] * nn
+    order = [root]
+    parent[root] = root
+    for u in order:
+        for w, kind, key in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                parent_edge[w] = (kind, key)
+                order.append(w)
+    cnt = [1 if marked[v] else 0 for v in range(nn)]
+    for u in reversed(order):
+        p = parent[u]
+        if p != u and p >= 0:
+            cnt[p] += cnt[u]
+    sadj: list[list[tuple[int, int, int]]] = [[] for _ in range(nn)]
+    for u in order:
+        p = parent[u]
+        if p != u and cnt[u] >= 1 and total_marked - cnt[u] >= 1:
+            kind, key = parent_edge[u]
+            sadj[u].append((p, kind, key))
+            sadj[p].append((u, kind, key))
+
+    keep = [False] * nn
+    for v in range(nn):
+        if marked[v] or len(sadj[v]) >= 3:
+            keep[v] = True
+
+    # Suppress chains of unkept degree-2 vertices.
+    out_host_edges: list[int] = []
+    chains: list[tuple[int, int, int]] = []  # (kept_u, kept_v, H-length)
+    seen = set()
+
+    def edge_token(a, b, kind, key):
+        return (min(a, b), max(a, b), kind, key)
+
+    for u in range(nn):
+        if not keep[u]:
+            continue
+        for w0, kind0, key0 in sadj[u]:
+            tok = edge_token(u, w0, kind0, key0)
+            if tok in seen:
+                continue
+            seen.add(tok)
+            total_len = 1 if kind0 == 0 else h.xedge_lengths[key0]
+            cur = w0
+            nhops = 1
+            arrival = tok
+            while not keep[cur]:
+                w, kind, key = next(
+                    (e for e in sadj[cur]
+                     if edge_token(cur, e[0], e[1], e[2]) != arrival))
+                arrival = edge_token(cur, w, kind, key)
+                seen.add(arrival)
+                total_len += 1 if kind == 0 else h.xedge_lengths[key]
+                cur = w
+                nhops += 1
+            if nhops == 1 and kind0 == 0 and marked[u] and marked[cur]:
+                e = host.edge(key0)
+                a = (e.a[0] - x_off, e.a[1] - y_off)
+                b = (e.b[0] - x_off, e.b[1] - y_off)
+                out_host_edges.append(out_host.edge_id(a, b))
+            else:
+                chains.append((u, cur, total_len))
+
+    # Branch vertices outside the subgrid become duplicates.
+    def position(v):
+        if v < nv:
+            return host.vertex_at(v)
+        return h.duplicates[v - nv].base
+
+    branch = sorted(v for v in range(nn) if keep[v] and not marked[v])
+    sub_local = SubgridRef(1, side, 1, side)
+    dup_info = []
+    for v in branch:
+        px, py = position(v)
+        bx, by = sub_local.clamp((px - x_off, py - y_off))
+        dup_info.append((v, (bx, by)))
+    dup_info.sort(key=lambda it: (out_host.boundary_position(it[1]), it[0]))
+    dup_of = {}
+    duplicates = []
+    slot_counter = {}
+    for k, (v, base) in enumerate(dup_info):
+        slot = slot_counter.get(base, 0)
+        slot_counter[base] = slot + 1
+        duplicates.append(Duplicate(k, base, slot))
+        dup_of[v] = k
+
+    def out_ref(v):
+        if v in dup_of:
+            return ("d", dup_of[v])
+        x, y = host.vertex_at(v)
+        return (x - x_off, y - y_off)
+
+    out_xedges = [(out_ref(u), out_ref(v)) for u, v, _ in chains]
+    out_grid = ExpandedGrid(out_host, duplicates, out_xedges,
+                            origin=(x_off, y_off))
+    out_tree = XSpanningTree(out_grid, out_host_edges,
+                             range(len(out_xedges)), (1, 1))
+    return out_grid, out_tree

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import comb_tree
+from conftest import comb_tree, reference_contract, spiral_tree
+from gridcycle.construction import build_tree
 from gridcycle.errors import (DegeneratePointError, EmptyCycleError,
                               GridCycleError, LayerError, MalformedEdgeError,
-                              NotDrawableError, OutOfRangeError)
+                              MalformedFileError, NotDrawableError,
+                              OutOfRangeError)
 from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
                                 contract, find_long_edge, lemma_lower_check,
                                 lstar, plain, reroute_walk, walk_length,
@@ -203,6 +207,168 @@ def test_contract_twice_through_expanded_input():
     assert (per_in <= per_mid).all()
 
 
+# -- the contraction kernel against the per-node reference -------------------
+
+def assert_contract_matches_reference(h, t, sub):
+    """Contract with the kernel and with ``reference_contract``; every part
+    of the two results must be equal, extra-edge order included."""
+    og, ot = contract(h, t, sub)
+    rg, rt = reference_contract(h, t, sub)
+    assert og.host == rg.host
+    assert og.origin == rg.origin
+    assert og.duplicates == rg.duplicates
+    assert og.xedges == rg.xedges
+    assert og.xedge_lengths == rg.xedge_lengths
+    assert np.array_equal(ot.host_edge_mask, rt.host_edge_mask)
+    assert ot.xedge_indices == rt.xedge_indices
+    assert np.array_equal(ot.parent_idx, rt.parent_idx)
+    assert np.array_equal(ot.depth_arr, rt.depth_arr)
+    return og, ot
+
+
+@pytest.mark.parametrize("n,seeds", [(5, 4), (10, 4), (25, 3), (125, 1)])
+def test_contract_matches_reference_uniform_tiles(n, seeds):
+    g = make_grid(n)
+    h = plain(g)
+    for seed in range(seeds):
+        t = XSpanningTree.from_host_tree(random_spanning_tree(g, 500 + seed), h)
+        for tile in g.tile_5x5():
+            assert_contract_matches_reference(h, t, tile)
+
+
+@pytest.mark.parametrize("make", [comb_tree, spiral_tree],
+                         ids=["comb", "spiral"])
+@pytest.mark.parametrize("n", [10, 25])
+def test_contract_matches_reference_deep_trees(make, n):
+    g = make_grid(n)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(make(g), h)
+    for tile in g.tile_5x5():
+        assert_contract_matches_reference(h, t, tile)
+    assert_contract_matches_reference(h, t, SubgridRef(2, n - 1, 2, n - 1))
+
+
+def test_contract_matches_reference_expanded_inputs():
+    g = make_grid(25)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 4), h)
+    mid_g, mid_t = assert_contract_matches_reference(h, t,
+                                                     SubgridRef(8, 17, 8, 17))
+    assert mid_g.duplicates and mid_g.xedges
+    inner_g, inner_t = assert_contract_matches_reference(
+        mid_g, mid_t, SubgridRef(3, 7, 3, 7))
+    assert inner_g.host.n == 5 and inner_g.duplicates
+    for tile in mid_g.host.tile_5x5():
+        assert_contract_matches_reference(mid_g, mid_t, tile)
+    for tile in inner_g.host.tile_5x5():
+        assert_contract_matches_reference(inner_g, inner_t, tile)
+
+
+def test_contract_matches_reference_general_form_second_level():
+    g = make_grid(130)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 130), h)
+    sg, st_ = assert_contract_matches_reference(h, t,
+                                                SubgridRef(1, 125, 1, 125))
+    assert sg.duplicates and sg.xedges
+    for tile in sg.host.tile_5x5():
+        assert_contract_matches_reference(sg, st_, tile)
+
+
+def test_contract_matches_reference_identity_and_single_vertex():
+    g, h, t = g4_comb_setup()
+    for contract_to in (contract, reference_contract):
+        og, ot = contract_to(h, t, SubgridRef(1, 4, 1, 4))
+        assert og is h and ot is t
+    for x in range(1, 5):
+        for y in range(1, 5):
+            og, _ = assert_contract_matches_reference(h, t,
+                                                      SubgridRef(x, x, y, y))
+            assert og.origin == (x - 1, y - 1)
+
+
+@pytest.mark.parametrize("sub,other_grid", [
+    (SubgridRef(3, 5, 3, 5), False),
+    (SubgridRef(0, 1, 0, 1), False),
+    (SubgridRef(1, 2, 1, 3), False),
+    (SubgridRef(1, 2, 1, 2), True),
+], ids=["beyond_grid", "below_grid", "not_square", "wrong_grid"])
+def test_contract_errors_match_reference(sub, other_grid):
+    g, h, t = g4_comb_setup()
+    grid = plain(g) if other_grid else h
+    with pytest.raises(GridCycleError) as new:
+        contract(grid, t, sub)
+    with pytest.raises(GridCycleError) as ref:
+        reference_contract(grid, t, sub)
+    assert type(new.value) is type(ref.value)
+    assert str(new.value) == str(ref.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_contract_matches_reference_property(data, n, seed):
+    def square(side_max):
+        side = data.draw(st.integers(1, side_max))
+        x = data.draw(st.integers(1, side_max - side + 1))
+        y = data.draw(st.integers(1, side_max - side + 1))
+        return SubgridRef(x, x + side - 1, y, y + side - 1)
+
+    g = make_grid(n)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, seed), h)
+    og, ot = assert_contract_matches_reference(h, t, square(n))
+    if data.draw(st.booleans()):
+        assert_contract_matches_reference(og, ot, square(og.host.n))
+
+
+# -- weighted depth and the two box paths --------------------------------------
+
+def assert_wdepth_matches_walks(t):
+    """Twice every node's weighted depth is the length of the closed walk
+    from the root to it and back."""
+    wd = t.wdepth()
+    grid = t.grid
+    for v in range(grid.num_nodes):
+        path = t.path_refs(t.root_ref, grid.index_ref(v))
+        assert walk_length(t, path + path[-2:0:-1]) == 2 * wd[v], v
+
+
+def test_wdepth_uniform_and_comb():
+    for n, seed in ((2, 0), (7, 1), (12, 2), (12, 3)):
+        g = make_grid(n)
+        assert_wdepth_matches_walks(
+            XSpanningTree.from_host_tree(random_spanning_tree(g, seed)))
+    for n in (3, 10):
+        assert_wdepth_matches_walks(
+            XSpanningTree.from_host_tree(comb_tree(make_grid(n))))
+
+
+def test_wdepth_expanded_trees():
+    g = make_grid(25)
+    h = plain(g)
+    for seed in (4, 5):
+        t = XSpanningTree.from_host_tree(random_spanning_tree(g, seed), h)
+        mid_g, mid_t = contract(h, t, SubgridRef(8, 17, 8, 17))
+        inner_g, inner_t = contract(mid_g, mid_t, SubgridRef(3, 7, 3, 7))
+        for xt in (mid_t, inner_t):
+            assert max(xt.grid.xedge_lengths, default=0) > 1
+            assert_wdepth_matches_walks(xt)
+
+
+@pytest.mark.parametrize("n", [5, 25, 125])
+def test_lstar_equals_dual_perimeter_sum_construction(n):
+    t = build_tree(n)
+    assert lstar(XSpanningTree.from_host_tree(t)) == t.total_length().P_total
+
+
+@pytest.mark.parametrize("n", [5, 25])
+def test_lstar_equals_dual_perimeter_sum_uniform(n):
+    g = make_grid(n)
+    for seed in range(3):
+        t = random_spanning_tree(g, 700 + seed)
+        assert lstar(XSpanningTree.from_host_tree(t)) == t.total_length().P_total
+
+
 # -- rerouting and winding numbers --------------------------------------------
 
 def test_reroute_keeps_tree_edges_verbatim():
@@ -381,12 +547,20 @@ def test_expanded_file_roundtrip(tmp_path):
     ("n 5\ndup 0 1 2 x\n", "2",
      "expected 'dup <id> <x> <y> <slot>', got 'dup 0 1 2 x'"),
     ("n 5\nloop 1\n", "2", "unknown record 'loop'"),
+    ("n 5\ndup 3 1 1 0\n", "2", "expected duplicate id 0, got 3"),
+    ("n 5\ndup 0 1 1 0\n\ndup 2 1 2 0\n", "4",
+     "expected duplicate id 1, got 2"),
+    ("n 5\ndup 0 1 1 0\ndup 0 1 2 0\n", "3",
+     "expected duplicate id 1, got 0"),
 ], ids=["empty", "truncated_dup", "truncated_xedge", "truncated_endpoint",
         "non_integer_endpoint", "extra_token", "non_integer_side",
-        "non_integer_slot", "unknown_record"])
+        "non_integer_slot", "unknown_record", "first_dup_id_not_0",
+        "dup_id_skipped", "dup_id_repeated"])
 def test_expanded_file_malformed(tmp_path, text, where, expected):
     path = tmp_path / "h.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
         ExpandedGrid.from_file(path)
     assert str(err.value) == f"{path}:{where}: {expected}"
+    assert isinstance(err.value, MalformedFileError)
+    assert err.value.lineno == int(where)

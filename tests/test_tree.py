@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from conftest import comb_tree, explicit_cycle_length, rows_plus_column_tree
 from gridcycle import tree as tree_module
 from gridcycle.construction import build_tree
-from gridcycle.errors import (EmptyCycleError, NoChordsError, NotAChordError,
-                              NotASpanningTreeError, UnknownEdgeError)
+from gridcycle.errors import (EmptyCycleError, GridCycleError,
+                              MalformedFileError, NoChordsError,
+                              NotAChordError, NotASpanningTreeError,
+                              UnknownEdgeError)
+from gridcycle.expanded import ExpandedGrid
+from gridcycle.matroid import EchelonMatrix
 from gridcycle.grid import make_grid
 from gridcycle.search import enumerate_spanning_trees, random_spanning_tree
 from gridcycle.tree import AncestorTables, SpanningTree, cycle_box
@@ -205,6 +209,30 @@ def test_tree_file_roundtrip(tmp_path):
     t2 = SpanningTree.from_file(path)
     assert t2.root == t.root
     assert set(t2.tree_edge_ids().tolist()) == set(t.tree_edge_ids().tolist())
+
+
+@pytest.mark.parametrize("read,text,lineno", [
+    (SpanningTree.from_file, "n 4\nroot 4 1\n0\nseven\n", 4),
+    (SpanningTree.from_file, "n 4\n\n", 3),
+    (ExpandedGrid.from_file, "n 5\ndup 0 1 1 0\ndup 2 1 2 0\n", 3),
+    (ExpandedGrid.from_file, "n 5\nxedge h 1 1 d\n", 2),
+    (ExpandedGrid.from_file, "\n\n", 3),
+    (EchelonMatrix.from_file, "2 3 2\n0 0\n1 x\n", 3),
+    (EchelonMatrix.from_file, "2 3 2\n0 0\n", 1),
+], ids=["tree_bad_id", "tree_missing_root", "expanded_dup_id",
+        "expanded_truncated_xedge", "expanded_missing_side", "matrix_bad_entry",
+        "matrix_entry_count"])
+def test_parsers_raise_malformed_file_error_with_line(tmp_path, read, text,
+                                                      lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedFileError) as err:
+        read(path)
+    assert err.value.path == path
+    assert err.value.lineno == lineno
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert isinstance(err.value, ValueError)
+    assert isinstance(err.value, GridCycleError)
 
 
 def test_stats_csv(tmp_path, monkeypatch):
