@@ -35,8 +35,7 @@ from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import depth_first_order, dijkstra
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import (
     CounterexampleError,
@@ -50,8 +49,8 @@ from .errors import (
     UnknownEdgeError,
 )
 from .grid import Coord, GridGraph, SubgridRef
-from .tree import (AncestorTables, SpanningTree, malformed_line, missing_line,
-                   record_ints)
+from .tree import (AncestorTables, SpanningTree, _adjacency, _bfs,
+                   malformed_line, missing_line, record_ints, tree_path)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class ExpandedGrid:
     """Host grid plus duplicates and extra edges (lengths cached)."""
 
     def __init__(self, host: GridGraph, duplicates=(), xedges=(),
-                 origin: Coord = (0, 0), validate: bool = True):
+                 origin: Coord = (0, 0)):
         self.host = host
         self.duplicates = tuple(duplicates)
         self.xedges = tuple((a, b) for a, b in xedges)
@@ -84,8 +83,7 @@ class ExpandedGrid:
             if d.id != k:
                 raise ValueError(f"duplicate ids must be 0..{len(self.duplicates)-1}")
         self.xedge_lengths = tuple(self._length(a, b) for a, b in self.xedges)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- vertex references ---------------------------------------------------
 
@@ -154,14 +152,15 @@ class ExpandedGrid:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check endpoint peripherality, base peripherality and drawability."""
+        """Check base peripherality, self-loops and drawability.  Endpoint
+        peripherality is checked once, when the extra-edge lengths are
+        computed."""
         for d in self.duplicates:
             self.host.check_vertex(d.base)
             if not self.host.is_peripheral(d.base):
                 raise MalformedEdgeError(
                     f"duplicate {d.id} based at non-peripheral {d.base}")
         for a, b in self.xedges:
-            self._length(a, b)
             if self.ref_index(a) == self.ref_index(b):
                 raise MalformedEdgeError("extra edge joins a vertex to itself")
         if not self.is_drawable():
@@ -309,20 +308,9 @@ class XSpanningTree:
         self.root_ref = root_ref
         ridx = grid.ref_index(root_ref)
 
-        ua, ub = self._edge_endpoints(hids)
-        if total == 0:
-            parent = np.arange(nn, dtype=np.int64)
-            depth = np.zeros(nn, dtype=np.int64)
-        else:
-            adj = _adjacency(np.concatenate([ua, ub]),
-                             np.concatenate([ub, ua]), nn)
-            dist, pred = dijkstra(adj, indices=ridx, unweighted=True,
-                                  return_predecessors=True)
-            if np.isinf(dist).any():
-                raise GridCycleError("edge set does not span the expanded grid")
-            depth = dist.astype(np.int64)
-            parent = pred.astype(np.int64)
-            parent[ridx] = ridx
+        parent, depth, _, _ = _bfs(nn, *self._edge_endpoints(hids), ridx)
+        if (depth < 0).any():
+            raise GridCycleError("edge set does not span the expanded grid")
         self.parent_idx = parent
         self.depth_arr = depth
         xs, ys = grid.node_positions()
@@ -398,22 +386,9 @@ class XSpanningTree:
     def path_refs(self, ref_u, ref_v) -> list:
         """Tree path between two vertices, as an inclusive reference list."""
         grid = self.grid
-        par, dep = self.parent_idx, self.depth_arr
-        a, b = grid.ref_index(ref_u), grid.ref_index(ref_v)
-        up_a, up_b = [a], [b]
-        while dep[a] > dep[b]:
-            a = int(par[a])
-            up_a.append(a)
-        while dep[b] > dep[a]:
-            b = int(par[b])
-            up_b.append(b)
-        while a != b:
-            a = int(par[a])
-            b = int(par[b])
-            up_a.append(a)
-            up_b.append(b)
-        idxs = up_a + up_b[-2::-1]
-        return [grid.index_ref(i) for i in idxs]
+        path = tree_path(self.parent_idx, self.depth_arr,
+                         grid.ref_index(ref_u), grid.ref_index(ref_v))
+        return [grid.index_ref(i) for i in path]
 
 
 def lstar(t: XSpanningTree, h: ExpandedGrid | None = None) -> int:
@@ -525,16 +500,6 @@ def _preorder(parent: np.ndarray, root: int) -> np.ndarray:
     kids = np.nonzero(parent != np.arange(nn))[0]
     return depth_first_order(_adjacency(parent[kids], kids, nn), root,
                              return_predecessors=False)
-
-
-def _adjacency(rows, cols, nn: int) -> csr_matrix:
-    """The nn x nn matrix with a 1 at every (rows[i], cols[i]), each row's
-    columns in input order, in the float64/int32 layout that scipy's graph
-    traversals take without a conversion."""
-    indptr = np.zeros(nn + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
-    cols = cols[np.argsort(rows, kind="stable")].astype(np.int32)
-    return csr_matrix((np.ones(len(cols)), cols, indptr), shape=(nn, nn))
 
 
 def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
@@ -829,7 +794,7 @@ def find_long_edge(h: ExpandedGrid, t: XSpanningTree, i: int) -> int:
             f"cycle C_{i} of the {n}-grid has no chords for this tree")
     ua = np.asarray(ua)
     ub = np.asarray(ub)
-    xs, ys = h.node_positions()
+    xs, ys = t.tables.xs, t.tables.ys
     row_flag = (ys >= lo) & (ys <= hi)
     col_flag = (xs >= lo) & (xs <= hi)
     eu_y = ys[ua]

@@ -1,5 +1,11 @@
 """Spanning trees of grids and their fundamental-cycle statistics.
 
+This module is the rooted-tree core of the package.  One BFS (``_bfs``)
+roots host trees, the dual tree and expanded-grid trees; one explicit parent
+walk (:func:`tree_path`) traces their paths; one lifting climb
+(:class:`AncestorTables`) answers depths, LCAs and the min/max and OR folds
+along paths.
+
 A :class:`SpanningTree` stores parent/depth arrays over the host grid's
 vertex indexing plus binary-lifting ancestor tables, so the length of any
 chord's fundamental cycle is an O(log n) query and the full statistics
@@ -8,7 +14,7 @@ from the dual tree instead: the chords of a plane spanning tree form a
 spanning tree of the faces, and a chord's cycle encloses exactly the faces
 of its subtree when that tree is rooted at the outer face, so every box is
 a subtree min/max over unit squares, in O(n^2) memory.  Boxes of tree paths
-aggregated through the lifting tables (:meth:`AncestorTables.path_boxes`)
+folded through the lifting tables (:meth:`AncestorTables.path_boxes`)
 serve expanded grids, whose faces are not unit squares.
 
 Cycle conventions: an "ordered vertex cycle" is a list of distinct vertices;
@@ -44,9 +50,11 @@ _CSV_CHUNK = 1 << 16
 class AncestorTables:
     """Binary-lifting tables over a rooted tree given by parent/depth arrays.
 
-    ``parent[root] == root``.  Coordinates per node feed the bounding-box
-    aggregation; arbitrary boolean node flags can be OR-aggregated along
-    paths (used for band-hit queries).  All query methods are vectorized.
+    ``parent[root] == root``.  Every path query climbs the lifting table
+    ``up`` through :meth:`_climb`, folding lifted node values on the way:
+    coordinate minima and maxima for bounding boxes, ORs of boolean node
+    flags for band hits.  Each folded table is built on first use and cached
+    by name.  All query methods are vectorized.
     """
 
     def __init__(self, parent, depth, xs, ys):
@@ -60,20 +68,27 @@ class AncestorTables:
         for _ in range(1, self.levels):
             up.append(up[-1][up[-1]])
         self.up = up
-        self._boxes = None
-        self._flag_tables = {}
+        self._lifted = {}
 
     # -- core lifting ------------------------------------------------------
 
-    def ancestor(self, u, d):
-        """p^d(u), elementwise."""
+    def _climb(self, u, d, tables=(), acc=()):
+        """p^d(u), elementwise.  On the way, every acc[i] is folded with
+        tables[i]'s values over the half-open node run u, ..., p^(d-1)(u)."""
         u = np.array(u, dtype=np.int64, copy=True)
         d = np.asarray(d, dtype=np.int64)
         for k in range(self.levels):
             mask = ((d >> k) & 1).astype(bool)
             if mask.any():
-                u[mask] = self.up[k][u[mask]]
+                c = u[mask]
+                for (op, tab), a in zip(tables, acc):
+                    a[mask] = op(a[mask], tab[k][c])
+                u[mask] = self.up[k][c]
         return u
+
+    def ancestor(self, u, d):
+        """p^d(u), elementwise."""
+        return self._climb(u, d)
 
     def lca(self, u, v):
         u = np.asarray(u, dtype=np.int64)
@@ -81,8 +96,6 @@ class AncestorTables:
         du, dv = self.depth[u], self.depth[v]
         u = self.ancestor(u, np.maximum(du - dv, 0))
         v = self.ancestor(v, np.maximum(dv - du, 0))
-        u = u.copy()
-        v = v.copy()
         for k in range(self.levels - 1, -1, -1):
             move = (self.up[k][u] != self.up[k][v])
             if move.any():
@@ -92,8 +105,7 @@ class AncestorTables:
 
     def cycle_lengths(self, u, v):
         """Length of chord {u,v}'s fundamental cycle: tree path plus one."""
-        w = self.lca(u, v)
-        return self.depth[u] + self.depth[v] - 2 * self.depth[w] + 1
+        return self.distances(u, v) + 1
 
     def distances(self, u, v):
         """Number of tree edges on the paths u..v, elementwise."""
@@ -102,90 +114,48 @@ class AncestorTables:
         w = self.lca(u, v)
         return self.depth[u] + self.depth[v] - 2 * self.depth[w]
 
-    # -- box aggregation ---------------------------------------------------
+    # -- path folds --------------------------------------------------------
 
-    def _box_tables(self):
-        if self._boxes is None:
-            xmin, xmax = [self.xs], [self.xs]
-            ymin, ymax = [self.ys], [self.ys]
+    def _table(self, key, op, values):
+        """(op, table): level k of the table folds ``values`` with ``op``
+        over the run of 2^k nodes climbing from each node."""
+        if key not in self._lifted:
+            tab = [np.asarray(values)]
             for k in range(1, self.levels):
-                j = self.up[k - 1]
-                xmin.append(np.minimum(xmin[-1], xmin[-1][j]))
-                xmax.append(np.maximum(xmax[-1], xmax[-1][j]))
-                ymin.append(np.minimum(ymin[-1], ymin[-1][j]))
-                ymax.append(np.maximum(ymax[-1], ymax[-1][j]))
-            self._boxes = (xmin, xmax, ymin, ymax)
-        return self._boxes
+                tab.append(op(tab[-1], tab[-1][self.up[k - 1]]))
+            self._lifted[key] = tab
+        return op, self._lifted[key]
 
-    def _climb_box(self, u, d):
-        """Box over the half-open vertex run u, p(u), ..., p^(d-1)(u)."""
-        xmin_t, xmax_t, ymin_t, ymax_t = self._box_tables()
-        big = np.iinfo(np.int64).max
-        axmin = np.full(u.shape, big)
-        axmax = np.full(u.shape, -big)
-        aymin = np.full(u.shape, big)
-        aymax = np.full(u.shape, -big)
-        cur = np.array(u, copy=True)
-        for k in range(self.levels):
-            mask = ((d >> k) & 1).astype(bool)
-            if mask.any():
-                c = cur[mask]
-                axmin[mask] = np.minimum(axmin[mask], xmin_t[k][c])
-                axmax[mask] = np.maximum(axmax[mask], xmax_t[k][c])
-                aymin[mask] = np.minimum(aymin[mask], ymin_t[k][c])
-                aymax[mask] = np.maximum(aymax[mask], ymax_t[k][c])
-                cur[mask] = self.up[k][c]
-        return axmin, axmax, aymin, aymax
-
-    def path_boxes(self, u, v):
-        """Bounding boxes (xmin, xmax, ymin, ymax) of the tree paths u..v."""
+    def _fold(self, u, v, tables):
+        """Every (op, table) folded over the tree paths u..v: the LCA's
+        value, then one climb from each end to just below the LCA."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         w = self.lca(u, v)
         dw = self.depth[w]
-        bu = self._climb_box(u, self.depth[u] - dw)
-        bv = self._climb_box(v, self.depth[v] - dw)
-        xmin = np.minimum(np.minimum(bu[0], bv[0]), self.xs[w])
-        xmax = np.maximum(np.maximum(bu[1], bv[1]), self.xs[w])
-        ymin = np.minimum(np.minimum(bu[2], bv[2]), self.ys[w])
-        ymax = np.maximum(np.maximum(bu[3], bv[3]), self.ys[w])
-        return xmin, xmax, ymin, ymax
+        acc = [np.array(tab[0][w]) for _, tab in tables]
+        self._climb(u, self.depth[u] - dw, tables, acc)
+        self._climb(v, self.depth[v] - dw, tables, acc)
+        return acc
+
+    def path_boxes(self, u, v):
+        """Bounding boxes (xmin, xmax, ymin, ymax) of the tree paths u..v."""
+        return tuple(self._fold(u, v, [
+            self._table("xmin", np.minimum, self.xs),
+            self._table("xmax", np.maximum, self.xs),
+            self._table("ymin", np.minimum, self.ys),
+            self._table("ymax", np.maximum, self.ys)]))
 
     def path_perimeters(self, u, v):
         xmin, xmax, ymin, ymax = self.path_boxes(u, v)
         return 2 * (xmax - xmin) + 2 * (ymax - ymin)
 
-    # -- flag aggregation --------------------------------------------------
-
-    def _flag_table(self, key, node_flags):
-        if key not in self._flag_tables:
-            tabs = [np.asarray(node_flags, dtype=bool)]
-            for k in range(1, self.levels):
-                tabs.append(tabs[-1] | tabs[-1][self.up[k - 1]])
-            self._flag_tables[key] = tabs
-        return self._flag_tables[key]
-
     def path_hits(self, u, v, key, node_flags):
-        """Whether the tree path u..v contains a flagged node (vectorized)."""
-        tabs = self._flag_table(key, node_flags)
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = self.lca(u, v)
-        dw = self.depth[w]
-        hit = tabs[0][w].copy()
-
-        def climb(s, d, hit):
-            cur = np.array(s, copy=True)
-            for k in range(self.levels):
-                mask = ((d >> k) & 1).astype(bool)
-                if mask.any():
-                    c = cur[mask]
-                    hit[mask] |= tabs[k][c]
-                    cur[mask] = self.up[k][c]
-            return hit
-
-        hit = climb(u, self.depth[u] - dw, hit)
-        hit = climb(v, self.depth[v] - dw, hit)
+        """Whether the tree path u..v contains a flagged node (vectorized).
+        ``key`` names the flags, whose lifted table is built once."""
+        flags = np.asarray(node_flags, dtype=bool)
+        (hit,) = self._fold(u, v, [self._table(("flags", key), np.logical_or,
+                                                flags)])
         return hit
 
 
@@ -352,26 +322,11 @@ class SpanningTree:
             raise UnknownEdgeError(f"edge id {eid} is not a host edge")
         if self.tree_edge_mask[eid]:
             raise NotAChordError(f"edge {eid} is a tree edge, not a chord")
-        edge = self.host.edge(eid)
         g = self.host
-        a = g.vertex_index(edge.a)
-        b = g.vertex_index(edge.b)
-        par, dep = self.parent_idx, self.depth_arr
-        ua, ub = a, b
-        up_a, up_b = [a], [b]
-        while dep[ua] > dep[ub]:
-            ua = int(par[ua])
-            up_a.append(ua)
-        while dep[ub] > dep[ua]:
-            ub = int(par[ub])
-            up_b.append(ub)
-        while ua != ub:
-            ua = int(par[ua])
-            ub = int(par[ub])
-            up_a.append(ua)
-            up_b.append(ub)
-        cycle_idx = up_a + up_b[-2::-1]
-        return [g.vertex_at(i) for i in cycle_idx]
+        edge = g.edge(eid)
+        path = tree_path(self.parent_idx, self.depth_arr,
+                         g.vertex_index(edge.a), g.vertex_index(edge.b))
+        return [g.vertex_at(i) for i in path]
 
     def cycle_length(self, eid: int) -> int:
         """O(log n) fundamental-cycle length of a chord."""
@@ -438,6 +393,16 @@ class SpanningTree:
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
 
 
+def _adjacency(rows, cols, nn: int) -> csr_matrix:
+    """The nn x nn matrix with a 1 at every (rows[i], cols[i]), each row's
+    columns in input order, in the float64/int32 layout that scipy's graph
+    traversals take without a conversion."""
+    indptr = np.zeros(nn + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
+    cols = cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    return csr_matrix((np.ones(len(cols)), cols, indptr), shape=(nn, nn))
+
+
 def _bfs(nv: int, ua, ub, root: int):
     """One unweighted BFS from root over the graph on nodes 0..nv-1 with
     edges {ua[i], ub[i]}.
@@ -446,10 +411,7 @@ def _bfs(nv: int, ua, ub, root: int):
     their own parents; unreached nodes get depth -1), the visit order, and
     its level bounds: the nodes of depth d are order[ends[d-1]:ends[d]].
     """
-    rows = np.concatenate([ua, ub])
-    cols = np.concatenate([ub, ua])
-    data = np.ones(len(rows), dtype=np.int8)
-    adj = csr_matrix((data, (rows, cols)), shape=(nv, nv))
+    adj = _adjacency(np.concatenate([ua, ub]), np.concatenate([ub, ua]), nv)
     order, pred = breadth_first_order(adj, root, directed=True,
                                       return_predecessors=True)
     order = order.astype(np.int64)
@@ -512,6 +474,28 @@ def _dual_perimeters(n: int, chords) -> np.ndarray:
         np.maximum.at(ymax, up, ymax[kids])
     child = np.where(depth[fa] > depth[fb], fa, fb)
     return 2 * (xmax[child] - xmin[child]) + 2 * (ymax[child] - ymin[child])
+
+
+def tree_path(parent, depth, a: int, b: int) -> list[int]:
+    """Nodes of the tree path a..b, both ends included, found by explicit
+    parent walks from both ends up to their meeting point.
+
+    Deliberately does not use the lifting tables, so it serves as an
+    independent cross-check of the lifted queries.
+    """
+    up_a, up_b = [a], [b]
+    while depth[a] > depth[b]:
+        a = int(parent[a])
+        up_a.append(a)
+    while depth[b] > depth[a]:
+        b = int(parent[b])
+        up_b.append(b)
+    while a != b:
+        a = int(parent[a])
+        b = int(parent[b])
+        up_a.append(a)
+        up_b.append(b)
+    return up_a + up_b[-2::-1]
 
 
 def missing_line(path, lineno: int, shape: str) -> MalformedFileError:

@@ -98,6 +98,49 @@ def test_xtree_cardinality_error():
         XSpanningTree(h, [0, 1], [], (1, 1))
 
 
+
+# -- rooting -------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda n: build_tree(n),
+    lambda n: random_spanning_tree(make_grid(n), 300 + n),
+    lambda n: comb_tree(make_grid(n)),
+    lambda n: spiral_tree(make_grid(n)),
+], ids=["construction", "uniform", "comb", "spiral"])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+def test_from_host_tree_roots_like_host_tree(make, n):
+    t = make(n)
+    xt = XSpanningTree.from_host_tree(t)
+    assert np.array_equal(xt.parent_idx, t.parent_idx)
+    assert np.array_equal(xt.depth_arr, t.depth_arr)
+
+
+def test_xtree_edge_set_not_spanning():
+    # All four edges of the 2-grid: as many edges as a spanning tree of the
+    # five nodes needs, but a cycle, and the duplicate is never reached.
+    h = ExpandedGrid(make_grid(2), [Duplicate(0, (1, 1), 0)])
+    with pytest.raises(GridCycleError,
+                       match="edge set does not span the expanded grid"):
+        XSpanningTree(h, [0, 1, 2, 3], [], (1, 1))
+    # The same count through an extra edge: a 2-cycle with a host edge.
+    h = ExpandedGrid(make_grid(2), [Duplicate(0, (1, 1), 0)],
+                     [((1, 1), (2, 1))])
+    with pytest.raises(GridCycleError,
+                       match="edge set does not span the expanded grid"):
+        XSpanningTree(h, [0, 1, 2], [0], ("d", 0))
+
+
+def test_contract_to_single_vertex_roots():
+    g, h, t = g4_comb_setup()
+    for x, y in ((1, 1), (2, 3), (4, 4)):
+        og, ot = contract(h, t, SubgridRef(x, x, y, y))
+        assert ot.parent_idx.tolist() == [0]
+        assert ot.depth_arr.tolist() == [0]
+        assert ot.path_refs((1, 1), (1, 1)) == [(1, 1)]
+        assert lstar(ot) == 0
+        assert ot.tables.path_perimeters([0], [0]).tolist() == [0]
+
+
 # -- contraction --------------------------------------------------------------
 
 def g4_comb_setup():
@@ -367,6 +410,66 @@ def test_lstar_equals_dual_perimeter_sum_uniform(n):
     for seed in range(3):
         t = random_spanning_tree(g, 700 + seed)
         assert lstar(XSpanningTree.from_host_tree(t)) == t.total_length().P_total
+
+
+
+# -- lifted path folds against explicit walks ---------------------------------
+
+def assert_lifted_folds_match_walks(xt, rng):
+    """Every host chord's lifted distance, path perimeter and band hits
+    against its explicit ``path_refs`` walk."""
+    grid = xt.grid
+    chords = xt.host_chord_ids()
+    ua, ub = grid.host.edge_endpoint_indices(chords)
+    xs, ys = xt.tables.xs, xt.tables.ys
+    n = grid.host.n
+    flag_sets = {("rows", 2, n - 1): (ys >= 2) & (ys <= n - 1),
+                 ("cols", 1, 1): xs == 1,
+                 ("dups",): np.arange(grid.num_nodes) >= grid.host.num_vertices}
+    for k, p in enumerate((0.02, 0.1, 0.3)):
+        flag_sets[("random", k)] = rng.random(grid.num_nodes) < p
+    dist = xt.tables.distances(ua, ub)
+    per = xt.tables.path_perimeters(ua, ub)
+    hits = {key: xt.tables.path_hits(ua, ub, key, flags)
+            for key, flags in flag_sets.items()}
+    for j, (a, b) in enumerate(zip(ua.tolist(), ub.tolist())):
+        path = xt.path_refs(grid.index_ref(a), grid.index_ref(b))
+        assert dist[j] == len(path) - 1
+        assert per[j] == xperimeter(grid, path)
+        on_path = [grid.ref_index(r) for r in path]
+        for key, flags in flag_sets.items():
+            assert hits[key][j] == flags[on_path].any(), (key, j)
+    return len(chords)
+
+
+def test_lifted_folds_match_walks_on_tiles_of_25():
+    g = make_grid(25)
+    h = plain(g)
+    rng = np.random.default_rng(25)
+    dups = xedges = 0
+    for seed in range(3):
+        t = XSpanningTree.from_host_tree(random_spanning_tree(g, 800 + seed), h)
+        assert_lifted_folds_match_walks(t, rng)
+        for tile in g.tile_5x5():
+            og, ot = contract(h, t, tile)
+            dups += len(og.duplicates)
+            xedges += len(ot.xedge_indices)
+            assert_lifted_folds_match_walks(ot, rng)
+    assert dups and xedges
+
+
+def test_lifted_folds_match_walks_on_tiles_of_130_to_125():
+    g = make_grid(130)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 131), h)
+    sg, st_ = contract(h, t, SubgridRef(1, 125, 1, 125))
+    assert sg.duplicates and st_.xedge_indices
+    rng = np.random.default_rng(125)
+    chords = 0
+    for tile in sg.host.tile_5x5():
+        og, ot = contract(sg, st_, tile)
+        chords += assert_lifted_folds_match_walks(ot, rng)
+    assert chords
 
 
 # -- rerouting and winding numbers --------------------------------------------

@@ -308,4 +308,4 @@ def test_dual_perimeters_match_lifted_boxes(make):
     ua, ub = t.host.edge_endpoint_indices(stats.edge_ids)
     assert np.array_equal(stats.perimeters, lifted.path_perimeters(ua, ub))
     # Host trees take their boxes from the dual tree alone.
-    assert t._tables._boxes is None
+    assert not t._tables._lifted
