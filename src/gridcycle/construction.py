@@ -18,6 +18,10 @@ second vertex (2,1), which keeps every vertex within distance 2(n-1) of the
 root; T_3 emerges from the odd recursion as three full rows plus the central
 column.  The construction is deterministic: repeated calls yield identical
 edge-id sets.
+
+Each size's edges are built once per call as coordinate arrays, and every
+copy of a smaller size is placed by one vectorized affine map (mirror, then
+offset), so T_n takes O(log n) numpy steps.
 """
 
 from __future__ import annotations
@@ -46,101 +50,92 @@ class PlacedBlock:
     child_order: int
 
 
-def _emit(n: int, x0: int, y0: int, fh: bool, N: int, out: list) -> None:
-    """Append the edge ids of a T_n copy occupying the square block with
-    bottom-left corner (x0, y0), mirrored horizontally when ``fh``."""
-    nh = N * (N - 1)
-
-    def h_edge(lx, ly):
-        gy = y0 + ly - 1
-        gx = (x0 + n - lx - 1) if fh else (x0 + lx - 1)
-        out.append((gy - 1) * (N - 1) + (gx - 1))
-
-    def v_edge(lx, ly):
-        gy = y0 + ly - 1
-        gx = (x0 + n - lx) if fh else (x0 + lx - 1)
-        out.append(nh + (gy - 1) * N + (gx - 1))
-
-    def place(side, a, c, flip):
-        gx0 = (x0 + n - (a + side - 1)) if fh else (x0 + a - 1)
-        _emit(side, gx0, y0 + c - 1, fh ^ flip, N, out)
-
-    if n == 1:
-        return
+def _spines(n: int):
+    """T_n's edges outside its blocks (n >= 2), as (lx, ly) pairs in its
+    own frame: horizontal ones join (lx, ly)-(lx+1, ly), vertical ones
+    (lx, ly)-(lx, ly+1)."""
     if n == 2:
-        h_edge(1, 1)
-        v_edge(2, 1)
-        h_edge(1, 2)
-        return
+        return [(1, 1), (1, 2)], [(2, 1)]
     if n % 2 == 1:
         m = (n - 1) // 2
-        for x in range(1, n):
-            h_edge(x, 1)
-        for y in range(1, n):
-            v_edge(m + 1, y)
-        h_edge(m, 2)
-        h_edge(m + 1, 2)
-        h_edge(m, m + 2)
-        h_edge(m + 1, m + 2)
-        place(m, 1, 2, False)
-        place(m, 1, m + 2, False)
-        place(m, m + 2, 2, True)
-        place(m, m + 2, m + 2, True)
+        horizontal = [(x, 1) for x in range(1, n)] + [
+            (m, 2), (m + 1, 2), (m, m + 2), (m + 1, m + 2)]
+        vertical = [(m + 1, y) for y in range(1, n)]
     else:
         h = n // 2
-        for x in range(h + 1, n):
-            h_edge(x, 1)
-        for y in range(1, h + 1):
-            v_edge(h + 1, y)
-        h_edge(h, 1)
-        h_edge(h, h + 1)
-        h_edge(h + 1, 2)
-        place(h, 1, 1, False)
-        place(h, 1, h + 1, False)
-        place(h, h + 1, h + 1, True)
-        place(h - 1, h + 2, 2, True)
+        horizontal = [(x, 1) for x in range(h + 1, n)] + [
+            (h, 1), (h, h + 1), (h + 1, 2)]
+        vertical = [(h + 1, y) for y in range(1, h + 1)]
+    return horizontal, vertical
+
+
+def _blocks(n: int) -> list[SubgridRef]:
+    """The four blocks of T_n (n >= 3) in recursion order; the last two
+    hold mirrored copies."""
+    if n % 2 == 1:
+        m = (n - 1) // 2
+        return [SubgridRef(1, m, 2, m + 1), SubgridRef(1, m, m + 2, n),
+                SubgridRef(m + 2, n, 2, m + 1), SubgridRef(m + 2, n, m + 2, n)]
+    h = n // 2
+    return [SubgridRef(1, h, 1, h), SubgridRef(1, h, h + 1, n),
+            SubgridRef(h + 1, n, h + 1, n), SubgridRef(h + 2, n, 2, h)]
+
+
+def _local_edges(n: int, memo: dict):
+    """T_n's edges in its own frame as four int32 arrays (hx, hy, vx, vy):
+    the (lx, ly) pairs of its horizontal and of its vertical edges.
+
+    Each block's copy is placed by one affine map of its arrays.  Mirroring
+    into a block whose right column is x_hi maps lx to x_hi - lx on
+    horizontal edges and to x_hi + 1 - lx on vertical ones.  ``memo``
+    holds every size built so far.
+    """
+    if n not in memo:
+        if n == 1:
+            memo[n] = (np.empty(0, dtype=np.int32),) * 4
+            return memo[n]
+        h, v = (np.array(e, dtype=np.int32).T for e in _spines(n))
+        hx, hy, vx, vy = [h[0]], [h[1]], [v[0]], [v[1]]
+        for i, r in enumerate(_blocks(n) if n > 2 else []):
+            chx, chy, cvx, cvy = _local_edges(r.side, memo)
+            if i >= 2:
+                hx.append(r.x_hi - chx)
+                vx.append((r.x_hi + 1) - cvx)
+            else:
+                hx.append(chx + (r.x_lo - 1))
+                vx.append(cvx + (r.x_lo - 1))
+            hy.append(chy + (r.y_lo - 1))
+            vy.append(cvy + (r.y_lo - 1))
+        memo[n] = tuple(np.concatenate(p) for p in (hx, hy, vx, vy))
+    return memo[n]
+
+
+def _edge_ids(n: int) -> np.ndarray:
+    """The canonical edge ids of T_n, in no particular order."""
+    hx, hy, vx, vy = (a.astype(np.int64) for a in _local_edges(n, {}))
+    return np.concatenate([(hy - 1) * (n - 1) + (hx - 1),
+                           n * (n - 1) + (vy - 1) * n + (vx - 1)])
 
 
 def build_tree(n: int) -> SpanningTree:
     """The recursive spanning tree T_n of the n-grid, rooted at (n, 1)."""
-    g = GridGraph(n)
-    ids: list[int] = []
-    _emit(n, 1, 1, False, n, ids)
-    return SpanningTree.from_edges(g, ids, (n, 1))
+    return SpanningTree.from_edges(GridGraph(n), _edge_ids(n), (n, 1))
 
 
 def top_level_blocks(n: int) -> list[PlacedBlock]:
     """The recursive blocks of T_n's outermost level (n >= 4)."""
     if n < 4:
         raise OutOfRangeError(f"recursion not applicable below side 4, got {n}")
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        rects = [
-            SubgridRef(1, m, 2, m + 1),
-            SubgridRef(1, m, m + 2, n),
-            SubgridRef(m + 2, n, 2, m + 1),
-            SubgridRef(m + 2, n, m + 2, n),
-        ]
-    else:
-        h = n // 2
-        rects = [
-            SubgridRef(1, h, 1, h),
-            SubgridRef(1, h, h + 1, n),
-            SubgridRef(h + 1, n, h + 1, n),
-            SubgridRef(h + 2, n, 2, h),
-        ]
-    return [PlacedBlock(r, i + 1) for i, r in enumerate(rects)]
+    return [PlacedBlock(r, i + 1) for i, r in enumerate(_blocks(n))]
 
 
-def _block_labels(g: GridGraph, n: int) -> np.ndarray:
+def _block_labels(n: int) -> np.ndarray:
     """Per-vertex label: 0 for the spine paths, 1..4 for the blocks."""
-    labels = np.zeros(g.num_vertices, dtype=np.int64)
+    labels = np.zeros((n, n), dtype=np.int64)
     for blk in top_level_blocks(n):
         r = blk.subgrid
-        for y in range(r.y_lo, r.y_hi + 1):
-            base = (y - 1) * n
-            labels[base + r.x_lo - 1: base + r.x_hi] = blk.child_order
-    return labels
+        labels[r.y_lo - 1:r.y_hi, r.x_lo - 1:r.x_hi] = blk.child_order
+    return labels.ravel()
 
 
 def crossing_chords(t: SpanningTree) -> np.ndarray:
@@ -148,7 +143,7 @@ def crossing_chords(t: SpanningTree) -> np.ndarray:
     recursion or touch the spine paths."""
     n = t.n
     g = t.host
-    labels = _block_labels(g, n)
+    labels = _block_labels(n)
     chords = t.chord_ids()
     ua, ub = g.edge_endpoint_indices(chords)
     cross = (labels[ua] != labels[ub]) | (labels[ua] == 0) | (labels[ub] == 0)
@@ -251,9 +246,10 @@ def write_svg(t: SpanningTree, path, scale: int = 24) -> None:
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">']
-    for eid in t.tree_edge_ids():
-        e = t.host.edge(int(eid))
-        (x1, y1), (x2, y2) = pt(e.a), pt(e.b)
+    g = t.host
+    ua, ub = g.edge_endpoint_indices(t.tree_edge_ids())
+    for a, b in zip(ua.tolist(), ub.tolist()):
+        (x1, y1), (x2, y2) = pt(g.vertex_at(a)), pt(g.vertex_at(b))
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                      'stroke="black" stroke-width="2"/>')
     for v in t.host.vertices():

@@ -24,7 +24,6 @@ the cycle's length equals the list's length.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,8 @@ from .errors import (
 )
 from .grid import Coord, Edge, GridGraph
 
-# Rows per ``csv.writer.writerows`` call in :meth:`CycleStats.to_csv`.
+# Rows formatted as one string by :meth:`CycleStats.to_csv` and
+# :meth:`SpanningTree.to_file`.
 _CSV_CHUNK = 1 << 16
 
 
@@ -54,14 +54,15 @@ class AncestorTables:
     ``up`` through :meth:`_climb`, folding lifted node values on the way:
     coordinate minima and maxima for bounding boxes, ORs of boolean node
     flags for band hits.  Each folded table is built on first use and cached
-    by name.  All query methods are vectorized.
+    by name.  All query methods are vectorized.  The node coordinates
+    ``xs``/``ys`` are needed only by :meth:`path_boxes`.
     """
 
-    def __init__(self, parent, depth, xs, ys):
+    def __init__(self, parent, depth, xs=None, ys=None):
         self.parent = np.asarray(parent, dtype=np.int64)
         self.depth = np.asarray(depth, dtype=np.int64)
-        self.xs = np.asarray(xs, dtype=np.int64)
-        self.ys = np.asarray(ys, dtype=np.int64)
+        self.xs = None if xs is None else np.asarray(xs, dtype=np.int64)
+        self.ys = None if ys is None else np.asarray(ys, dtype=np.int64)
         maxd = int(self.depth.max(initial=0))
         self.levels = max(1, maxd.bit_length())
         up = [self.parent]
@@ -212,16 +213,12 @@ class CycleStats:
                         self.perimeters.tolist()))
 
     def to_csv(self, path) -> None:
-        """Header plus one row per chord, written in fixed-size chunks so no
-        list of all records is ever held."""
+        """Header plus one row per chord, in the ``csv`` module's default
+        dialect (CRLF line ends)."""
         with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["edge_id", "length", "perimeter"])
-            for i in range(0, self.count, _CSV_CHUNK):
-                s = slice(i, i + _CSV_CHUNK)
-                out.writerows(zip(self.edge_ids[s].tolist(),
-                                  self.lengths[s].tolist(),
-                                  self.perimeters[s].tolist()))
+            fh.write("edge_id,length,perimeter\r\n")
+            _write_chunks(fh, "%d,%d,%d\r\n", self.edge_ids, self.lengths,
+                          self.perimeters)
 
 
 class SpanningTree:
@@ -238,10 +235,7 @@ class SpanningTree:
         self.parent_idx = parent_idx
         self.depth_arr = depth_arr
         self.tree_edge_mask = tree_edge_mask
-        n = host.n
-        idx = np.arange(n * n, dtype=np.int64)
-        self._tables = AncestorTables(parent_idx, depth_arr,
-                                      idx % n + 1, idx // n + 1)
+        self._tables = AncestorTables(parent_idx, depth_arr)
 
     # -- construction ------------------------------------------------------
 
@@ -365,8 +359,7 @@ class SpanningTree:
         with open(path, "w") as fh:
             fh.write(f"n {self.n}\n")
             fh.write(f"root {self.root[0]} {self.root[1]}\n")
-            for eid in self.tree_edge_ids():
-                fh.write(f"{int(eid)}\n")
+            _write_chunks(fh, "%d\n", self.tree_edge_ids())
 
     @staticmethod
     def from_file(path) -> "SpanningTree":
@@ -385,12 +378,29 @@ class SpanningTree:
 
         at, (n,) = header(0, "n <side>")
         at, (rx, ry) = header(at, "root <x> <y>")
-        try:
-            ids = [int(ln) for ln in lines[at:] if ln.strip()]
-        except ValueError:
+        # Every non-blank line holds at least one token, so as many tokens
+        # as non-blank lines means one token per line.  Any other layout
+        # takes the line-by-line path, which names the first bad line.
+        body = lines[at:]
+        toks = " ".join(body).split()
+        ids = None
+        if len(toks) == sum(map(bool, map(str.strip, body))):
+            try:
+                ids = np.array(toks, dtype=np.int64)
+            except ValueError:
+                pass
+        if ids is None:
             ids = [record_ints(path, i + 1, lines[i], "<edge-id>")[0]
                    for i in range(at, len(lines)) if lines[i].strip()]
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
+
+
+def _write_chunks(fh, fmt: str, *columns) -> None:
+    """Write ``fmt`` once per row of the integer arrays ``columns``,
+    formatting ``_CSV_CHUNK`` rows at a time as one string."""
+    for i in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.column_stack([c[i:i + _CSV_CHUNK] for c in columns])
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _adjacency(rows, cols, nn: int) -> csr_matrix:

@@ -69,6 +69,71 @@ def explicit_cycle_length(t: SpanningTree, eid: int) -> int:
     return anc[v] + d + 1
 
 
+def reference_emit(n: int) -> list[int]:
+    """The edge ids of T_n from the per-edge recursion that
+    ``construction.build_tree`` must match: every copy is emitted edge by
+    edge, with its mirroring and offset applied to each edge on the way."""
+    out: list[int] = []
+    N = n
+    nh = N * (N - 1)
+
+    def emit(n, x0, y0, fh):
+        """Append the edge ids of a T_n copy occupying the square block with
+        bottom-left corner (x0, y0), mirrored horizontally when ``fh``."""
+
+        def h_edge(lx, ly):
+            gy = y0 + ly - 1
+            gx = (x0 + n - lx - 1) if fh else (x0 + lx - 1)
+            out.append((gy - 1) * (N - 1) + (gx - 1))
+
+        def v_edge(lx, ly):
+            gy = y0 + ly - 1
+            gx = (x0 + n - lx) if fh else (x0 + lx - 1)
+            out.append(nh + (gy - 1) * N + (gx - 1))
+
+        def place(side, a, c, flip):
+            gx0 = (x0 + n - (a + side - 1)) if fh else (x0 + a - 1)
+            emit(side, gx0, y0 + c - 1, fh ^ flip)
+
+        if n == 1:
+            return
+        if n == 2:
+            h_edge(1, 1)
+            v_edge(2, 1)
+            h_edge(1, 2)
+            return
+        if n % 2 == 1:
+            m = (n - 1) // 2
+            for x in range(1, n):
+                h_edge(x, 1)
+            for y in range(1, n):
+                v_edge(m + 1, y)
+            h_edge(m, 2)
+            h_edge(m + 1, 2)
+            h_edge(m, m + 2)
+            h_edge(m + 1, m + 2)
+            place(m, 1, 2, False)
+            place(m, 1, m + 2, False)
+            place(m, m + 2, 2, True)
+            place(m, m + 2, m + 2, True)
+        else:
+            h = n // 2
+            for x in range(h + 1, n):
+                h_edge(x, 1)
+            for y in range(1, h + 1):
+                v_edge(h + 1, y)
+            h_edge(h, 1)
+            h_edge(h, h + 1)
+            h_edge(h + 1, 2)
+            place(h, 1, 1, False)
+            place(h, 1, h + 1, False)
+            place(h, h + 1, h + 1, True)
+            place(h - 1, h + 2, 2, True)
+
+    emit(n, 1, 1, False)
+    return out
+
+
 def reference_local_search(g: GridGraph, t0: SpanningTree,
                            budget: SearchBudget) -> LocalSearchResult:
     """The rebuild-per-candidate hill climb that ``local_search`` must match:

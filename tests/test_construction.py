@@ -1,8 +1,10 @@
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
-from conftest import comb_tree, explicit_cycle_length, rows_plus_column_tree
+from conftest import (comb_tree, explicit_cycle_length, reference_emit,
+                      rows_plus_column_tree)
 from gridcycle.construction import (ConstructionReport, RECORDED_SMALL_VALUES,
                                     build_tree, crossing_chords,
                                     crossing_cycle_cap, crossing_edge_count,
@@ -16,6 +18,14 @@ def test_base_cases_exact():
     assert build_tree(1).max_depth() == 0
     assert build_tree(2).total_length().L_total == 4
     assert build_tree(3).total_length().L_total == 16
+
+
+def test_build_tree_matches_reference_emit():
+    # The affine-copy builder and the per-edge recursion give the same
+    # edge-id set at every size up to 300 and at 1024.
+    for n in [*range(1, 301), 1024]:
+        assert np.array_equal(build_tree(n).tree_edge_ids(),
+                              np.sort(reference_emit(n))), n
 
 
 def test_t2_is_interior_rooted_path():

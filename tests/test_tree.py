@@ -211,15 +211,43 @@ def test_tree_file_roundtrip(tmp_path):
     assert set(t2.tree_edge_ids().tolist()) == set(t.tree_edge_ids().tolist())
 
 
+def test_tree_file_bytes_and_loose_layout(tmp_path, monkeypatch):
+    t = random_spanning_tree(make_grid(5), 3)
+    ids = t.tree_edge_ids().tolist()
+    assert len(ids) == 24
+    # A line-by-line reference writer.
+    expected = f"n 5\nroot {t.root[0]} {t.root[1]}\n"
+    for eid in ids:
+        expected += f"{eid}\n"
+    path = tmp_path / "t.txt"
+    t.to_file(path)
+    assert path.read_text() == expected
+    # Chunks that split the ids unevenly write the same bytes.
+    for chunk in (1, 5, 15):
+        monkeypatch.setattr(tree_module, "_CSV_CHUNK", chunk)
+        t.to_file(path)
+        assert path.read_text() == expected
+    # Blank lines and padding around the ids read back to the same tree.
+    path.write_text(f"\nn 5\n\n root {t.root[0]} {t.root[1]}\n\n"
+                    + "".join(f"  {eid}\t\n \n" for eid in ids))
+    back = SpanningTree.from_file(path)
+    assert back.root == t.root
+    assert np.array_equal(back.tree_edge_mask, t.tree_edge_mask)
+
+
 @pytest.mark.parametrize("read,text,lineno", [
     (SpanningTree.from_file, "n 4\nroot 4 1\n0\nseven\n", 4),
     (SpanningTree.from_file, "n 4\n\n", 3),
+    (SpanningTree.from_file, "n 4\nroot 4 1\n0\n3 4\n", 4),
+    (SpanningTree.from_file, "n 4\nroot 4 1\n0\n1\n2 extra\n", 5),
+    (SpanningTree.from_file, "n 4\nroot 4 1\n \t\n3 4\n", 4),
     (ExpandedGrid.from_file, "n 5\ndup 0 1 1 0\ndup 2 1 2 0\n", 3),
     (ExpandedGrid.from_file, "n 5\nxedge h 1 1 d\n", 2),
     (ExpandedGrid.from_file, "\n\n", 3),
     (EchelonMatrix.from_file, "2 3 2\n0 0\n1 x\n", 3),
     (EchelonMatrix.from_file, "2 3 2\n0 0\n", 1),
-], ids=["tree_bad_id", "tree_missing_root", "expanded_dup_id",
+], ids=["tree_bad_id", "tree_missing_root", "tree_two_ids",
+        "tree_trailing_text", "tree_blank_then_two_ids", "expanded_dup_id",
         "expanded_truncated_xedge", "expanded_missing_side", "matrix_bad_entry",
         "matrix_entry_count"])
 def test_parsers_raise_malformed_file_error_with_line(tmp_path, read, text,
