@@ -66,28 +66,15 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[k - 1][k - 1]
 
 
-class _DSU:
-    __slots__ = ("p",)
-
-    def __init__(self, n, p=None):
-        self.p = list(range(n)) if p is None else p
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
-
-    def clone(self):
-        return _DSU(0, self.p[:])
+def _endpoint_table(g: GridGraph):
+    """Plain-list lookups for the explicit walks, built once per call: each
+    edge's two vertex indices in canonical id order, and each vertex's
+    1-based x and y."""
+    n = g.n
+    ends = [(g.vertex_index(e.a), g.vertex_index(e.b)) for e in g.edges()]
+    xs = [i % n + 1 for i in range(g.num_vertices)]
+    ys = [i // n + 1 for i in range(g.num_vertices)]
+    return ends, xs, ys
 
 
 def enumerate_spanning_trees(g: GridGraph, visit) -> int:
@@ -96,7 +83,9 @@ def enumerate_spanning_trees(g: GridGraph, visit) -> int:
     Binary include/exclude branching over the canonical edge order, pruned by
     a cycle test on the include branch and a connectivity-feasibility test on
     the exclude branch, so the recursion tree has one leaf per spanning tree.
-    Declined above side 4; use :func:`random_spanning_tree` there instead.
+    The union-find is a parent list, copied with ``p[:]`` where a branch
+    needs its own.  Declined above side 4; use :func:`random_spanning_tree`
+    there instead.
     """
     n = g.n
     if n > ENUMERATION_LIMIT:
@@ -105,25 +94,33 @@ def enumerate_spanning_trees(g: GridGraph, visit) -> int:
             f"side {n} has too many trees - sample with random_spanning_tree")
     nv = g.num_vertices
     ne = g.num_edges
-    endpoints = [(g.vertex_index(e.a), g.vertex_index(e.b)) for e in g.edges()]
+    ends = _endpoint_table(g)[0]
     if nv == 1:
         visit(())
         return 1
     count = 0
     chosen: list[int] = []
 
-    def feasible_without(i, dsu):
-        probe = dsu.clone()
-        comps = nv - (len(chosen))
+    def find(p, x):
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def feasible_without(i, p):
+        p = p[:]
+        comps = nv - len(chosen)
         for j in range(i + 1, ne):
-            u, v = endpoints[j]
-            if probe.union(u, v):
+            u, v = ends[j]
+            ru, rv = find(p, u), find(p, v)
+            if ru != rv:
+                p[ru] = rv
                 comps -= 1
                 if comps == 1:
                     return True
         return comps == 1
 
-    def rec(i, dsu):
+    def rec(i, p):
         nonlocal count
         if len(chosen) == nv - 1:
             count += 1
@@ -131,34 +128,38 @@ def enumerate_spanning_trees(g: GridGraph, visit) -> int:
             return
         if i == ne:
             return
-        u, v = endpoints[i]
-        if dsu.find(u) != dsu.find(v):
-            inc = dsu.clone()
-            inc.union(u, v)
+        u, v = ends[i]
+        ru, rv = find(p, u), find(p, v)
+        if ru != rv:
+            inc = p[:]
+            inc[ru] = rv
             chosen.append(i)
             rec(i + 1, inc)
             chosen.pop()
-        if feasible_without(i, dsu):
-            rec(i + 1, dsu)
+        if feasible_without(i, p):
+            rec(i + 1, p)
 
-    rec(0, _DSU(nv))
+    rec(0, list(range(nv)))
     return count
 
 
-def _explicit_totals(g: GridGraph, edge_ids):
+def _explicit_totals(g: GridGraph, edge_ids, table=None):
     """(L_total, P_total) of a tree, by plain BFS and stepwise path walks.
 
     Independent of the ancestor-table implementation in :mod:`gridcycle.tree`;
-    used as the oracle side of dual-route checks.
+    used as the oracle side of dual-route checks.  Each step moves the
+    deeper end of a chord (its first end on a tie) to its parent until the
+    ends meet at their LCA; the cycle box is a running min/max over every
+    vertex reached.
+    ``table`` is :func:`_endpoint_table` of g, built here when not given.
     """
-    n = g.n
-    nv = g.num_vertices
+    ends, xs, ys = table or _endpoint_table(g)
+    nv = len(xs)
     adj = [[] for _ in range(nv)]
-    in_tree = set(edge_ids)
-    endpoints = {}
+    in_tree = bytearray(len(ends))
     for eid in edge_ids:
-        e = g.edge(eid)
-        u, v = g.vertex_index(e.a), g.vertex_index(e.b)
+        in_tree[eid] = 1
+        u, v = ends[eid]
         adj[u].append(v)
         adj[v].append(u)
     parent = [-1] * nv
@@ -167,39 +168,41 @@ def _explicit_totals(g: GridGraph, edge_ids):
     depth[0] = 0
     parent[0] = 0
     for u in order:
+        d = depth[u] + 1
         for w in adj[u]:
             if depth[w] < 0:
-                depth[w] = depth[u] + 1
+                depth[w] = d
                 parent[w] = u
                 order.append(w)
     L = 0
     P = 0
-    for eid in range(g.num_edges):
-        if eid in in_tree:
+    for (a, b), tree_edge in zip(ends, in_tree):
+        if tree_edge:
             continue
-        e = g.edge(eid)
-        a, b = g.vertex_index(e.a), g.vertex_index(e.b)
-        xs = [a % n + 1, b % n + 1]
-        ys = [a // n + 1, b // n + 1]
-        steps = 0
-        while depth[a] > depth[b]:
-            a = parent[a]
-            steps += 1
-            xs.append(a % n + 1)
-            ys.append(a // n + 1)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            steps += 1
-            xs.append(b % n + 1)
-            ys.append(b // n + 1)
+        x_lo, x_hi = (xs[a], xs[b]) if xs[a] <= xs[b] else (xs[b], xs[a])
+        y_lo, y_hi = (ys[a], ys[b]) if ys[a] <= ys[b] else (ys[b], ys[a])
+        da, db = depth[a], depth[b]
+        steps = 1
         while a != b:
-            a = parent[a]
-            b = parent[b]
-            steps += 2
-            xs += [a % n + 1, b % n + 1]
-            ys += [a // n + 1, b // n + 1]
-        L += steps + 1
-        P += 2 * (max(xs) - min(xs)) + 2 * (max(ys) - min(ys))
+            if da >= db:
+                a = v = parent[a]
+                da -= 1
+            else:
+                b = v = parent[b]
+                db -= 1
+            steps += 1
+            x = xs[v]
+            if x < x_lo:
+                x_lo = x
+            elif x > x_hi:
+                x_hi = x
+            y = ys[v]
+            if y < y_lo:
+                y_lo = y
+            elif y > y_hi:
+                y_hi = y
+        L += steps
+        P += 2 * (x_hi - x_lo) + 2 * (y_hi - y_lo)
     return L, P
 
 
@@ -223,10 +226,11 @@ def min_total_length(g: GridGraph) -> MinimumReport:
             f"exact minimisation is limited to side {ENUMERATION_LIMIT}")
     best = [None, None, None]
     scanned = [0]
+    table = _endpoint_table(g)
 
     def visit(ids):
         scanned[0] += 1
-        L, P = _explicit_totals(g, ids)
+        L, P = _explicit_totals(g, ids, table)
         if best[0] is None or L < best[0]:
             best[0] = L
             best[2] = ids

@@ -134,6 +134,77 @@ def reference_emit(n: int) -> list[int]:
     return out
 
 
+def reference_enumerate(g: GridGraph, visit) -> int:
+    """The class-based union-find enumerator that
+    ``search.enumerate_spanning_trees`` must match tree for tree and in the
+    same order: include/exclude branching over the canonical edge order, a
+    cloned ``_DSU`` object per include branch and per feasibility probe."""
+
+    class _DSU:
+        __slots__ = ("p",)
+
+        def __init__(self, n, p=None):
+            self.p = list(range(n)) if p is None else p
+
+        def find(self, x):
+            p = self.p
+            while p[x] != x:
+                p[x] = p[p[x]]
+                x = p[x]
+            return x
+
+        def union(self, a, b):
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                return False
+            self.p[ra] = rb
+            return True
+
+        def clone(self):
+            return _DSU(0, self.p[:])
+
+    nv = g.num_vertices
+    ne = g.num_edges
+    endpoints = [(g.vertex_index(e.a), g.vertex_index(e.b)) for e in g.edges()]
+    if nv == 1:
+        visit(())
+        return 1
+    count = 0
+    chosen: list[int] = []
+
+    def feasible_without(i, dsu):
+        probe = dsu.clone()
+        comps = nv - (len(chosen))
+        for j in range(i + 1, ne):
+            u, v = endpoints[j]
+            if probe.union(u, v):
+                comps -= 1
+                if comps == 1:
+                    return True
+        return comps == 1
+
+    def rec(i, dsu):
+        nonlocal count
+        if len(chosen) == nv - 1:
+            count += 1
+            visit(tuple(chosen))
+            return
+        if i == ne:
+            return
+        u, v = endpoints[i]
+        if dsu.find(u) != dsu.find(v):
+            inc = dsu.clone()
+            inc.union(u, v)
+            chosen.append(i)
+            rec(i + 1, inc)
+            chosen.pop()
+        if feasible_without(i, dsu):
+            rec(i + 1, dsu)
+
+    rec(0, _DSU(nv))
+    return count
+
+
 def reference_local_search(g: GridGraph, t0: SpanningTree,
                            budget: SearchBudget) -> LocalSearchResult:
     """The rebuild-per-candidate hill climb that ``local_search`` must match:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridcycle.search as search
-from conftest import comb_tree, explicit_cycle_length, reference_local_search
+from conftest import (comb_tree, explicit_cycle_length, reference_enumerate,
+                      reference_local_search, spiral_tree)
 from gridcycle.cli import main
 from gridcycle.construction import build_tree
 from gridcycle.errors import CounterexampleError, NotAChordError, TooLargeError
@@ -15,7 +16,7 @@ from gridcycle.search import (SearchBudget, count_spanning_trees,
                               enumerate_spanning_trees, local_search,
                               min_total_length, random_spanning_tree,
                               swap_deltas)
-from gridcycle.tree import SpanningTree
+from gridcycle.tree import SpanningTree, cycle_box
 
 
 def test_counts():
@@ -64,6 +65,83 @@ def test_min_g3_is_16():
     assert rep.min_P == 16
     t = SpanningTree.from_edges(make_grid(3), rep.witness_edge_ids, (3, 1))
     assert t.total_length().L_total == 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_order_matches_reference(n):
+    g = make_grid(n)
+    got, want = [], []
+    assert enumerate_spanning_trees(g, got.append) == len(got)
+    assert reference_enumerate(g, want.append) == len(want)
+    assert got == want
+
+
+# (trees scanned, min L, min P, witness) of the exhaustive minimum; the
+# witness is the first minimum-L tree in enumeration order.
+MINIMUM_REPORTS = {
+    1: (1, 0, 0, ()),
+    2: (4, 4, 4, (0, 1, 2)),
+    3: (192, 16, 16, (0, 1, 2, 3, 4, 5, 7, 10)),
+    4: (100352, 38, 38, (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 17, 21, 22)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MINIMUM_REPORTS))
+def test_minimum_report_pinned(n):
+    rep = min_total_length(make_grid(n))
+    assert rep.n == n
+    assert (rep.trees_scanned, rep.min_L, rep.min_P,
+            rep.witness_edge_ids) == MINIMUM_REPORTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_endpoint_table_matches_edges(n):
+    g = make_grid(n)
+    ends, xs, ys = search._endpoint_table(g)
+    assert len(ends) == g.num_edges
+    assert len(xs) == len(ys) == g.num_vertices
+    for eid, (a, b) in enumerate(ends):
+        e = g.edge(eid)
+        assert (xs[a], ys[a]) == e.a
+        assert (xs[b], ys[b]) == e.b
+    assert list(zip(xs, ys)) == g.vertices()
+
+
+def chordwise_totals(t):
+    """(L, P) summed chord by chord: lengths from the dictionary walk in
+    conftest, perimeters from the box of the traced fundamental cycle."""
+    chords = t.chord_ids().tolist()
+    return (sum(explicit_cycle_length(t, e) for e in chords),
+            sum(cycle_box(t.fundamental_cycle(e)).perimeter for e in chords))
+
+
+def assert_oracle_matches(t):
+    ids = t.tree_edge_ids().tolist()
+    assert search._explicit_totals(t.host, ids) == chordwise_totals(t)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 16, 25])
+def test_explicit_totals_construction(n):
+    assert_oracle_matches(build_tree(n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_explicit_totals_uniform(n):
+    for seed in (0, 1, 2):
+        assert_oracle_matches(random_spanning_tree(make_grid(n), seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 25])
+def test_explicit_totals_comb_and_spiral(n):
+    g = make_grid(n)
+    assert_oracle_matches(comb_tree(g))
+    assert_oracle_matches(spiral_tree(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_explicit_totals_property(n, seed):
+    assert_oracle_matches(random_spanning_tree(make_grid(n), seed))
 
 
 def test_wilson_deterministic():
