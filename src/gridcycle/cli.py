@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .construction import build_tree, log2_bound
 from .errors import CounterexampleError, GridCycleError
-from .expanded import (XSpanningTree, _log5_floor, find_long_edge,
+from .expanded import (XSpanningTree, _log5_floor, _long_edges,
                        lemma_lower_check, plain)
 from .grid import make_grid
 from .matroid import echelon_representation
@@ -117,9 +117,9 @@ def _lower_one(args_n, seed):
     rec = report.to_json()
     rec["seed"] = seed
     if args_n % 5 == 0 and report.form != "sharp":
-        m = args_n // 5
-        rec["witnesses"] = [{"i": i, "edge_id": find_long_edge(h, xt, i)}
-                            for i in range(1, m + 1)]
+        layers = range(1, args_n // 5 + 1)
+        rec["witnesses"] = [{"i": i, "edge_id": e} for i, e
+                            in zip(layers, _long_edges(h, xt, layers))]
     return rec
 
 

@@ -42,14 +42,6 @@ _CTX = Context(prec=50)
 RECORDED_SMALL_VALUES = {1: 0, 2: 4, 3: 16, 4: 42}
 
 
-@dataclass(frozen=True)
-class PlacedBlock:
-    """One recursive copy: its subgrid and recursion label."""
-
-    subgrid: SubgridRef
-    child_order: int
-
-
 def _spines(n: int):
     """T_n's edges outside its blocks (n >= 2), as (lx, ly) pairs in its
     own frame: horizontal ones join (lx, ly)-(lx+1, ly), vertical ones
@@ -122,19 +114,14 @@ def build_tree(n: int) -> SpanningTree:
     return SpanningTree.from_edges(GridGraph(n), _edge_ids(n), (n, 1))
 
 
-def top_level_blocks(n: int) -> list[PlacedBlock]:
-    """The recursive blocks of T_n's outermost level (n >= 4)."""
+def _block_labels(n: int) -> np.ndarray:
+    """Per-vertex label of T_n's outermost level (n >= 4): 0 for the spine
+    paths, 1..4 for the blocks in recursion order."""
     if n < 4:
         raise OutOfRangeError(f"recursion not applicable below side 4, got {n}")
-    return [PlacedBlock(r, i + 1) for i, r in enumerate(_blocks(n))]
-
-
-def _block_labels(n: int) -> np.ndarray:
-    """Per-vertex label: 0 for the spine paths, 1..4 for the blocks."""
     labels = np.zeros((n, n), dtype=np.int64)
-    for blk in top_level_blocks(n):
-        r = blk.subgrid
-        labels[r.y_lo - 1:r.y_hi, r.x_lo - 1:r.x_hi] = blk.child_order
+    for k, r in enumerate(_blocks(n), start=1):
+        labels[r.y_lo - 1:r.y_hi, r.x_lo - 1:r.x_hi] = k
     return labels.ravel()
 
 

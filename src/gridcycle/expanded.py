@@ -42,6 +42,7 @@ from .errors import (
     DegeneratePointError,
     EmptyCycleError,
     GridCycleError,
+    LayerError,
     MalformedEdgeError,
     MalformedFileError,
     NotDrawableError,
@@ -316,8 +317,6 @@ class XSpanningTree:
         xs, ys = grid.node_positions()
         self.tables = AncestorTables(parent, depth, xs, ys)
         self._ranges = None
-        self._wdepth = None
-        self._edge_length_of = None
 
     def _edge_endpoints(self, hids):
         """Node indices (ua, ub) of the tree edges: the host edges ``hids``,
@@ -344,26 +343,6 @@ class XSpanningTree:
     def contains_host_edge(self, eid: int) -> bool:
         return bool(self.host_edge_mask[eid])
 
-    def _edge_lengths(self):
-        """Map (min_idx, max_idx) -> smallest length of a tree edge there."""
-        if self._edge_length_of is None:
-            grid = self.grid
-            host = grid.host
-            table = {}
-            hids = np.nonzero(self.host_edge_mask)[0]
-            ua, ub = host.edge_endpoint_indices(hids)
-            for a, b in zip(ua.tolist(), ub.tolist()):
-                table[(min(a, b), max(a, b))] = 1
-            for i in self.xedge_indices:
-                a, b = grid.xedges[i]
-                ia, ib = grid.ref_index(a), grid.ref_index(b)
-                key = (min(ia, ib), max(ia, ib))
-                lng = grid.xedge_lengths[i]
-                if key not in table or lng < table[key]:
-                    table[key] = lng
-            self._edge_length_of = table
-        return self._edge_length_of
-
     def _preorder_ranges(self) -> "_TreeRanges":
         """The tree's DFS preorder and every subtree as a preorder range,
         with each node's parent edge; computed once and shared by every
@@ -374,14 +353,17 @@ class XSpanningTree:
 
     def wdepth(self) -> np.ndarray:
         """Length-weighted depth (sum of edge lengths on the root path)."""
-        if self._wdepth is None:
-            r = self._preorder_ranges()
-            # Each parent-edge length counts on its node's preorder range.
-            diff = np.zeros(len(r.pre) + 1, dtype=np.int64)
-            diff[r.pre] = r.edge_length
-            np.subtract.at(diff, r.pre + r.size, r.edge_length)
-            self._wdepth = np.cumsum(diff)[r.pre]
-        return self._wdepth
+        r = self._preorder_ranges()
+        return r.root_sums(r.edge_length)
+
+    def path_hits(self, u, v, flags) -> np.ndarray:
+        """Whether each tree path u..v holds a flagged node: with F the
+        flag counts of root paths and w the LCA, it holds F(u) + F(v) -
+        2 F(w) + flag(w).  Stacked rows of ``flags`` share one LCA."""
+        w = self.tables.lca(u, v)
+        flags = np.asarray(flags)
+        F = np.apply_along_axis(self._preorder_ranges().root_sums, -1, flags)
+        return F[..., u] + F[..., v] - 2 * F[..., w] + flags[..., w] > 0
 
     def path_refs(self, ref_u, ref_v) -> list:
         """Tree path between two vertices, as an inclusive reference list."""
@@ -420,18 +402,19 @@ def xperimeter(h: ExpandedGrid, walk) -> int:
 
 def walk_length(t: XSpanningTree, walk) -> int:
     """Total edge length of a closed walk whose steps are tree edges or host
-    edges; parallel edges resolve to the shortest available length."""
+    edges.  A step along a tree edge counts that edge's length; a tree has
+    no parallel edges, so the edge is its child end's parent edge."""
     grid = t.grid
     host = grid.host
-    lengths = t._edge_lengths()
+    par = t.parent_idx
+    lengths = t._preorder_ranges().edge_length
     total = 0
     m = len(walk)
     for i in range(m):
         u, v = walk[i], walk[(i + 1) % m]
         iu, iv = grid.ref_index(u), grid.ref_index(v)
-        key = (min(iu, iv), max(iu, iv))
-        if key in lengths:
-            total += lengths[key]
+        if iu != iv and (par[iu] == iv or par[iv] == iu):
+            total += int(lengths[iu if par[iu] == iv else iv])
             continue
         pu, pv = grid.ref_position(u), grid.ref_position(v)
         if not _is_dup_ref(u) and not _is_dup_ref(v) and \
@@ -459,6 +442,16 @@ class _TreeRanges(NamedTuple):
     size: np.ndarray
     edge: np.ndarray
     edge_length: np.ndarray
+
+    def root_sums(self, values) -> np.ndarray:
+        """Every node's sum of ``values`` (one per node) over its root path,
+        itself included: a node's value counts on its preorder range, and
+        one cumulative sum adds up the ranges."""
+        values = np.asarray(values, dtype=np.int64)
+        diff = np.zeros(len(self.pre) + 1, dtype=np.int64)
+        diff[self.pre] = values
+        np.subtract.at(diff, self.pre + self.size, values)
+        return np.cumsum(diff, out=diff)[self.pre]
 
     @staticmethod
     def of(t: XSpanningTree) -> "_TreeRanges":
@@ -613,10 +606,9 @@ def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
     a, b = a[order], b[order]
 
     # Host edges between subgrid vertices, renumbered in the side-grid.
-    ua, ub = host.edge_endpoint_indices(r.edge[g_low[host_edge]])
-    ux, uy = ua % n - x_off, ua // n - y_off
-    out_host_edges = np.where(ub - ua == 1, uy * (side - 1) + ux,
-                              side * (side - 1) + uy * side + ux)
+    ends = host.edge_endpoint_indices(r.edge[g_low[host_edge]])
+    out_host_edges = out_host.edge_ids(
+        *((v // n - y_off) * side + v % n - x_off for v in ends))
 
     # Branch vertices outside the subgrid become duplicates.
     xs, ys = t.tables.xs, t.tables.ys
@@ -767,53 +759,72 @@ def find_long_edge(h: ExpandedGrid, t: XSpanningTree, i: int) -> int:
     Such a chord exists for every spanning tree; failure to find one is a
     counterexample to the checked claim and raises loudly.
     """
+    return _long_edges(h, t, [i])[0]
+
+
+def _ring_steps(n: int, layers):
+    """Every step u -> v of the concentric cycles C_i, i in ``layers``, in
+    the order of :meth:`GridGraph.concentric_cycle`, as arrays (ring, u, v):
+    the step's position in ``layers`` and its two vertex indices."""
+    us = []
+    for i in layers:
+        lo, hi = i - 1, n - i  # 0-based
+        r = np.arange(hi - lo)
+        x = np.concatenate([lo + r, np.full_like(r, hi), hi - r,
+                            np.full_like(r, lo)])
+        # Counterclockwise from (i, i), y runs one side behind x.
+        us.append(np.roll(x, hi - lo) * n + x)
+    ring = np.repeat(np.arange(len(us)), [len(u) for u in us])
+    return (ring, np.concatenate(us),
+            np.concatenate([np.roll(u, -1) for u in us]))
+
+
+def _long_edges(h: ExpandedGrid, t: XSpanningTree, layers) -> list[int]:
+    """:func:`find_long_edge` for every index in the sequence ``layers``, in
+    one pass: the chords of all the rings share one LCA and one flag count
+    per band, and each layer gets its first long chord in ring order.  The
+    first layer without a chord, or without a long one, raises."""
     host = h.host
     n = host.n
     if n % 5 != 0:
         raise OutOfRangeError(f"side {n} is not divisible by 5")
     m = n // 5
-    if not 1 <= i <= m:
-        raise OutOfRangeError(f"layer index {i} outside [1, {m}]")
+    for i in layers:
+        if not 1 <= i <= m:
+            raise OutOfRangeError(f"layer index {i} outside [1, {m}]")
     if h is not t.grid:
         raise GridCycleError("tree does not belong to the given expanded grid")
-    lo, hi = 2 * m + 1, 3 * m
-    ring = host.concentric_cycle(i)
-    L = len(ring)
-    eids = []
-    ua = []
-    ub = []
-    for j in range(L):
-        u, v = ring[j], ring[(j + 1) % L]
-        eid = host.edge_id(u, v)
-        if not t.contains_host_edge(eid):
-            eids.append(eid)
-            ua.append(host.vertex_index(u))
-            ub.append(host.vertex_index(v))
-    if not eids:
-        raise CounterexampleError(
-            f"cycle C_{i} of the {n}-grid has no chords for this tree")
-    ua = np.asarray(ua)
-    ub = np.asarray(ub)
-    xs, ys = t.tables.xs, t.tables.ys
-    row_flag = (ys >= lo) & (ys <= hi)
-    col_flag = (xs >= lo) & (xs <= hi)
-    eu_y = ys[ua]
-    ev_y = ys[ub]
-    eu_x = xs[ua]
-    ev_x = xs[ub]
-    in_row_band = ((eu_y <= m) & (ev_y <= m)) | \
-                  ((eu_y >= n - m + 1) & (ev_y >= n - m + 1))
-    in_col_band = ((eu_x <= m) & (ev_x <= m)) | \
-                  ((eu_x >= n - m + 1) & (ev_x >= n - m + 1))
-    hits_row = t.tables.path_hits(ua, ub, ("rows", lo, hi), row_flag)
-    hits_col = t.tables.path_hits(ua, ub, ("cols", lo, hi), col_flag)
-    long_mask = (in_row_band & hits_row) | (in_col_band & hits_col)
-    idx = np.nonzero(long_mask)[0]
-    if len(idx) == 0:
-        raise CounterexampleError(
-            f"no long chord on C_{i} of the {n}-grid: the long-path existence "
-            "claim failed on this tree")
-    return int(eids[int(idx[0])])
+    for i in layers:
+        if not isinstance(i, (int, np.integer)):
+            raise LayerError(f"layer {i} of the {n}-grid is not a cycle")
+    ring, ua, ub = _ring_steps(n, layers)
+    eids = host.edge_ids(ua, ub)
+    chord = ~t.host_edge_mask[eids]
+    ring, ua, ub, eids = ring[chord], ua[chord], ub[chord], eids[chord]
+    # Per axis (rows, then columns): the nodes in the central band, and the
+    # chords with both ends in the outer band on one side.
+    band, outer = [], []
+    for c in (t.tables.ys, t.tables.xs):
+        band.append((c > 2 * m) & (c <= 3 * m))
+        cu, cv = c[ua], c[ub]
+        outer.append(((cu <= m) & (cv <= m)) | ((cu > n - m) & (cv > n - m)))
+    long_chord = (np.array(outer)
+                  & t.path_hits(ua, ub, np.array(band))).any(axis=0)
+    # Steps come grouped by ring, so a ring's first entry in any selection
+    # is its first in ring order.
+    chords = np.bincount(ring, minlength=len(layers))
+    first = np.full(len(layers), -1)
+    hit_ring, at = np.unique(ring[long_chord], return_index=True)
+    first[hit_ring] = eids[long_chord][at]
+    for i, c, e in zip(layers, chords.tolist(), first.tolist()):
+        if c == 0:
+            raise CounterexampleError(
+                f"cycle C_{i} of the {n}-grid has no chords for this tree")
+        if e < 0:
+            raise CounterexampleError(
+                f"no long chord on C_{i} of the {n}-grid: the long-path "
+                "existence claim failed on this tree")
+    return first.tolist()
 
 
 @dataclass
@@ -894,9 +905,8 @@ def lemma_lower_check(h: ExpandedGrid, t: XSpanningTree) -> LowerBoundReport:
         ls = lstar(t)
         report = LowerBoundReport(n, "sharp", ls, bound)
         if n >= 5:
-            m = n // 5
-            for i in range(1, m + 1):
-                report.witnesses.append((i, find_long_edge(h, t, i)))
+            layers = range(1, n // 5 + 1)
+            report.witnesses = list(zip(layers, _long_edges(h, t, layers)))
         if k >= 2:
             sub_bound = Fraction(2, 25) * 5 ** (2 * (k - 1)) * (k - 1)
             for tile_no, tile in enumerate(h.host.tile_5x5(), start=1):

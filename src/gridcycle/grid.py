@@ -162,6 +162,21 @@ class GridGraph:
         ub[~horiz] = (y + 1) * n + x
         return ua, ub
 
+    def edge_ids(self, ua, ub) -> np.ndarray:
+        """Vectorized inverse of :meth:`edge_endpoint_indices`, endpoints in
+        either order; raises if any pair is not a grid edge."""
+        ua, ub = np.asarray(ua, dtype=np.int64), np.asarray(ub, dtype=np.int64)
+        n = self.n
+        lo, d = np.minimum(ua, ub), np.abs(ua - ub)
+        horiz = (d == 1) & (lo % n != n - 1)
+        ok = (horiz | (d == n)) & (lo >= 0) & (np.maximum(ua, ub) < n * n)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise OutOfRangeError(f"vertex indices {int(ua.flat[j])} and "
+                                  f"{int(ub.flat[j])} are not adjacent in {self}")
+        y, x = np.divmod(lo, n)
+        return np.where(horiz, y * (n - 1) + x, n * (n - 1) + lo)
+
     # -- boundary ----------------------------------------------------------
 
     def is_peripheral(self, v: Coord) -> bool:

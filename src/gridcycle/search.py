@@ -283,13 +283,8 @@ def random_spanning_tree(g: GridGraph, seed: int) -> SpanningTree:
         while not in_tree[u]:
             in_tree[u] = 1
             u = nxt[u]
-    ids = []
-    for u in range(nv):
-        if u != root:
-            ux, uy = u % n + 1, u // n + 1
-            v = nxt[u]
-            vx, vy = v % n + 1, v // n + 1
-            ids.append(g.edge_id((ux, uy), (vx, vy)))
+    # The tree edges: every vertex but the root 0 to its next vertex.
+    ids = g.edge_ids(np.arange(1, nv), np.asarray(nxt[1:]))
     return SpanningTree.from_edges(g, ids, (1, 1))
 
 

@@ -3,8 +3,9 @@
 This module is the rooted-tree core of the package.  One BFS (``_bfs``)
 roots host trees, the dual tree and expanded-grid trees; one explicit parent
 walk (:func:`tree_path`) traces their paths; one lifting climb
-(:class:`AncestorTables`) answers depths, LCAs and the min/max and OR folds
-along paths.
+(:class:`AncestorTables`) answers LCAs and the min/max folds of path boxes.
+Sums along root paths, such as weighted depths and flag counts, come from
+the preorder layout of expanded-grid trees instead (``expanded._TreeRanges``).
 
 A :class:`SpanningTree` stores parent/depth arrays over the host grid's
 vertex indexing plus binary-lifting ancestor tables, so the length of any
@@ -51,10 +52,9 @@ class AncestorTables:
     """Binary-lifting tables over a rooted tree given by parent/depth arrays.
 
     ``parent[root] == root``.  Every path query climbs the lifting table
-    ``up`` through :meth:`_climb`, folding lifted node values on the way:
-    coordinate minima and maxima for bounding boxes, ORs of boolean node
-    flags for band hits.  Each folded table is built on first use and cached
-    by name.  All query methods are vectorized.  The node coordinates
+    ``up`` through :meth:`_climb`: LCAs, and the coordinate minima and
+    maxima that bound path boxes, folded from lifted tables built on first
+    use.  All query methods are vectorized.  The node coordinates
     ``xs``/``ys`` are needed only by :meth:`path_boxes`.
     """
 
@@ -150,14 +150,6 @@ class AncestorTables:
     def path_perimeters(self, u, v):
         xmin, xmax, ymin, ymax = self.path_boxes(u, v)
         return 2 * (xmax - xmin) + 2 * (ymax - ymin)
-
-    def path_hits(self, u, v, key, node_flags):
-        """Whether the tree path u..v contains a flagged node (vectorized).
-        ``key`` names the flags, whose lifted table is built once."""
-        flags = np.asarray(node_flags, dtype=bool)
-        (hit,) = self._fold(u, v, [self._table(("flags", key), np.logical_or,
-                                                flags)])
-        return hit
 
 
 @dataclass(frozen=True)

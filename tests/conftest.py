@@ -403,3 +403,47 @@ def reference_contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
     out_tree = XSpanningTree(out_grid, out_host_edges,
                              range(len(out_xedges)), (1, 1))
     return out_grid, out_tree
+
+
+def reference_edge_lengths(t: XSpanningTree) -> dict:
+    """Map (min_idx, max_idx) -> smallest length of a tree edge there, built
+    edge by edge from the host edge mask and the extra-edge list: the
+    independent reference for the tree-edge lengths that ``walk_length``
+    and ``wdepth`` read from the preorder layout."""
+    grid = t.grid
+    table = {}
+    ua, ub = grid.host.edge_endpoint_indices(np.nonzero(t.host_edge_mask)[0])
+    for a, b in zip(ua.tolist(), ub.tolist()):
+        table[(min(a, b), max(a, b))] = 1
+    for i in t.xedge_indices:
+        a, b = grid.xedges[i]
+        ia, ib = grid.ref_index(a), grid.ref_index(b)
+        key = (min(ia, ib), max(ia, ib))
+        lng = grid.xedge_lengths[i]
+        if key not in table or lng < table[key]:
+            table[key] = lng
+    return table
+
+
+def reference_long_edge(h: ExpandedGrid, t: XSpanningTree, i: int):
+    """The witness that ``find_long_edge`` must return on C_i: the first
+    chord in ring order, found by walking the ring with ``edge_id``, whose
+    two ends lie in the outer rows (columns) on one side and whose explicit
+    ``path_refs`` path has a position in the central band of rows
+    (columns).  None when the ring has no such chord."""
+    g = h.host
+    n = g.n
+    m = n // 5
+    ring = g.concentric_cycle(i)
+    for j, u in enumerate(ring):
+        v = ring[(j + 1) % len(ring)]
+        eid = g.edge_id(u, v)
+        if t.contains_host_edge(eid):
+            continue
+        path = [h.ref_position(r) for r in t.path_refs(u, v)]
+        for axis in (1, 0):
+            ends = (u[axis], v[axis])
+            outer = max(ends) <= m or min(ends) >= n - m + 1
+            if outer and any(2 * m + 1 <= p[axis] <= 3 * m for p in path):
+                return eid
+    return None

@@ -9,7 +9,8 @@ from gridcycle.construction import (ConstructionReport, RECORDED_SMALL_VALUES,
                                     build_tree, crossing_chords,
                                     crossing_cycle_cap, crossing_edge_count,
                                     log2_bound, validate_construction)
-from gridcycle.errors import ConstructionInvalidError, InvalidSizeError
+from gridcycle.errors import (ConstructionInvalidError, InvalidSizeError,
+                              OutOfRangeError)
 from gridcycle.grid import make_grid
 from gridcycle.tree import SpanningTree
 
@@ -131,6 +132,11 @@ def test_crossing_edge_count(n, expect):
     formula = 4 * n - 8 if n % 2 else 3 * n - 6
     assert expect == formula
     assert crossing_edge_count(n) == expect
+
+
+def test_crossing_chords_need_side_4():
+    with pytest.raises(OutOfRangeError, match="below side 4, got 3"):
+        crossing_chords(build_tree(3))
 
 
 def test_crossing_cycle_caps():

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_tree, reference_contract, spiral_tree
+from conftest import (comb_tree, reference_contract, reference_edge_lengths,
+                      reference_long_edge, spiral_tree)
 from gridcycle.construction import build_tree
-from gridcycle.errors import (DegeneratePointError, EmptyCycleError,
-                              GridCycleError, LayerError, MalformedEdgeError,
-                              MalformedFileError, NotDrawableError,
-                              OutOfRangeError)
+from gridcycle.errors import (CounterexampleError, DegeneratePointError,
+                              EmptyCycleError, GridCycleError, LayerError,
+                              MalformedEdgeError, MalformedFileError,
+                              NotDrawableError, OutOfRangeError)
 from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
-                                contract, find_long_edge, lemma_lower_check,
-                                lstar, plain, reroute_walk, walk_length,
-                                winding_number, xperimeter)
+                                _ring_steps, contract, find_long_edge,
+                                lemma_lower_check, lstar, plain, reroute_walk,
+                                walk_length, winding_number, xperimeter)
 from gridcycle.grid import SubgridRef, make_grid
 from gridcycle.search import random_spanning_tree
 from gridcycle.tree import SpanningTree
@@ -368,12 +369,17 @@ def test_contract_matches_reference_property(data, n, seed):
 
 def assert_wdepth_matches_walks(t):
     """Twice every node's weighted depth is the length of the closed walk
-    from the root to it and back."""
+    from the root to it and back, and twice the root path's length summed
+    over the edge-by-edge length table of conftest."""
     wd = t.wdepth()
     grid = t.grid
+    lengths = reference_edge_lengths(t)
     for v in range(grid.num_nodes):
         path = t.path_refs(t.root_ref, grid.index_ref(v))
-        assert walk_length(t, path + path[-2:0:-1]) == 2 * wd[v], v
+        idx = [grid.ref_index(r) for r in path]
+        ref = sum(lengths[min(a, b), max(a, b)] for a, b in zip(idx, idx[1:]))
+        assert walk_length(t, path + path[-2:0:-1]) == 2 * ref, v
+        assert wd[v] == ref, v
 
 
 def test_wdepth_uniform_and_comb():
@@ -430,8 +436,10 @@ def assert_lifted_folds_match_walks(xt, rng):
         flag_sets[("random", k)] = rng.random(grid.num_nodes) < p
     dist = xt.tables.distances(ua, ub)
     per = xt.tables.path_perimeters(ua, ub)
-    hits = {key: xt.tables.path_hits(ua, ub, key, flags)
+    hits = {key: xt.path_hits(ua, ub, flags)
             for key, flags in flag_sets.items()}
+    stacked = xt.path_hits(ua, ub, np.stack(list(flag_sets.values())))
+    assert np.array_equal(stacked, np.stack(list(hits.values())))
     for j, (a, b) in enumerate(zip(ua.tolist(), ub.tolist())):
         path = xt.path_refs(grid.index_ref(a), grid.index_ref(b))
         assert dist[j] == len(path) - 1
@@ -440,6 +448,14 @@ def assert_lifted_folds_match_walks(xt, rng):
         for key, flags in flag_sets.items():
             assert hits[key][j] == flags[on_path].any(), (key, j)
     return len(chords)
+
+
+@pytest.mark.parametrize("n", [2, 7, 25])
+def test_lifted_folds_match_walks_on_spiral(n):
+    # The deepest tree: depth n^2 - 1 and the most lifting levels.
+    xt = XSpanningTree.from_host_tree(spiral_tree(make_grid(n)))
+    assert xt.depth_arr.max() == n * n - 1
+    assert_lifted_folds_match_walks(xt, np.random.default_rng(n))
 
 
 def test_lifted_folds_match_walks_on_tiles_of_25():
@@ -565,6 +581,86 @@ def test_find_long_edge_input_errors():
     t = XSpanningTree.from_host_tree(comb_tree(g), h)
     with pytest.raises(OutOfRangeError):
         find_long_edge(h, t, 6)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 13])
+def test_ring_steps_follow_concentric_cycles(n):
+    g = make_grid(n)
+    layers = list(range(1, n // 2 + 1))
+    ring, u, v = _ring_steps(n, layers)
+    expect = []
+    for k, i in enumerate(layers):
+        cyc = g.concentric_cycle(i)
+        expect += [(k, g.vertex_index(a), g.vertex_index(b))
+                   for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    assert list(zip(ring.tolist(), u.tolist(), v.tolist())) == expect
+
+
+def assert_witnesses_match_reference(h, t, sharp=True):
+    """find_long_edge on every layer, and lemma_lower_check's witnesses on
+    power-of-five sides, against conftest's ring walk."""
+    m = h.host.n // 5
+    ref = [reference_long_edge(h, t, i) for i in range(1, m + 1)]
+    assert None not in ref
+    assert [find_long_edge(h, t, i) for i in range(1, m + 1)] == ref
+    if sharp:
+        assert lemma_lower_check(h, t).witnesses == list(enumerate(ref, 1))
+
+
+@pytest.mark.parametrize("n", [5, 10, 25])
+def test_witnesses_match_reference_uniform(n):
+    g = make_grid(n)
+    h = plain(g)
+    for seed in range(3):
+        t = XSpanningTree.from_host_tree(random_spanning_tree(g, 900 + seed), h)
+        assert_witnesses_match_reference(h, t, sharp=n != 10)
+
+
+@pytest.mark.parametrize("make", [comb_tree, spiral_tree],
+                         ids=["comb", "spiral"])
+def test_witnesses_match_reference_comb_and_spiral(make):
+    g = make_grid(25)
+    h = plain(g)
+    assert_witnesses_match_reference(h, XSpanningTree.from_host_tree(make(g), h))
+
+
+def test_witnesses_match_reference_125():
+    g = make_grid(125)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 125), h)
+    assert_witnesses_match_reference(h, t)
+
+
+def test_witnesses_match_reference_130_to_125():
+    g = make_grid(130)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 131), h)
+    sg, st_ = contract(h, t, SubgridRef(1, 125, 1, 125))
+    assert sg.duplicates and st_.xedge_indices
+    assert_witnesses_match_reference(sg, st_)
+
+
+def test_first_failing_layer_raises(monkeypatch):
+    g = make_grid(25)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 0), h)
+    monkeypatch.setattr(
+        XSpanningTree, "path_hits",
+        lambda self, u, v, flags: np.zeros(np.shape(flags)[:-1] + np.shape(u),
+                                           dtype=bool))
+    with pytest.raises(CounterexampleError, match="no long chord on C_1 "):
+        lemma_lower_check(h, t)
+    with pytest.raises(CounterexampleError, match="no long chord on C_3 "):
+        find_long_edge(h, t, 3)
+
+
+def test_long_edges_use_no_lifted_flag_tables():
+    g = make_grid(25)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 1), h)
+    lemma_lower_check(h, t)
+    assert set(t.tables._lifted) <= {"xmin", "xmax", "ymin", "ymax"}
+    assert not hasattr(t.tables, "path_hits")
 
 
 def test_lemma_check_g5():

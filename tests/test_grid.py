@@ -65,6 +65,43 @@ def test_edge_indexing_bijection(n):
             assert (g.vertex_index(e.a), g.vertex_index(e.b)) == (ua[eid], ub[eid])
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_edge_ids_inverts_edge_id(n):
+    g = make_grid(n)
+    edges = g.edges()
+    ua = np.array([g.vertex_index(e.a) for e in edges], dtype=np.int64)
+    ub = np.array([g.vertex_index(e.b) for e in edges], dtype=np.int64)
+    expect = [g.edge_id(e.a, e.b) for e in edges]
+    assert g.edge_ids(ua, ub).tolist() == expect
+    assert g.edge_ids(ub, ua).tolist() == expect
+    assert g.edge_ids(*g.edge_endpoint_indices(np.arange(g.num_edges))
+                      ).tolist() == list(range(g.num_edges))
+
+
+@pytest.mark.parametrize("n,u,v", [
+    (4, 3, 4),      # row wrap: (4, 1) and (1, 2)
+    (4, 4, 3),
+    (4, 7, 8),      # row wrap: (4, 2) and (1, 3)
+    (4, 0, 2),      # same row, two apart
+    (4, 0, 5),      # diagonal
+    (4, 5, 5),      # a vertex and itself
+    (4, 12, 16),    # past the top row
+    (4, -1, 0),     # before the first vertex
+    (4, 15, 16),    # row wrap past the last vertex
+    (1, 0, 1),
+    (1, 0, 0),
+    (2, 1, 2),      # row wrap: (2, 1) and (1, 2)
+])
+def test_edge_ids_rejects_non_edges(n, u, v):
+    g = make_grid(n)
+    with pytest.raises(OutOfRangeError, match=f"{u} and {v} are not adjacent"):
+        g.edge_ids([u], [v])
+    if n > 1:
+        # A bad pair behind a good one still raises, and is the one named.
+        with pytest.raises(OutOfRangeError, match=f"{u} and {v} are not"):
+            g.edge_ids([0, u], [1, v])
+
+
 def test_tiles_25():
     g = make_grid(25)
     tiles = g.tile_5x5()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -151,6 +152,23 @@ def test_wilson_deterministic():
     c = random_spanning_tree(g, 124).tree_edge_ids().tolist()
     assert a == b
     assert a != c
+
+
+# Edge ids of Wilson trees: the count and the sha256 of the ids joined by
+# commas, recorded from the sampler before it took its edge ids from
+# ``GridGraph.edge_ids``.  The walk and its random stream decide the tree.
+WILSON_PINS = {
+    (8, 0): (63, "b377994826f90944af7a75ad6d4289da6f077bb53715ad45292217d8451c1693"),
+    (32, 5): (1023, "655ee285dcb6614a06c0ab7f764706bbf9948ec0e9bd256be8be2d99c46aaf5e"),
+    (125, 1001): (15624, "c6a6d704634450c2f7885d45a3d4861e70eb18e180d66c12e683beeac2ea1e39"),
+}
+
+
+@pytest.mark.parametrize("n,seed", list(WILSON_PINS))
+def test_wilson_edge_ids_pinned(n, seed):
+    ids = random_spanning_tree(make_grid(n), seed).tree_edge_ids().tolist()
+    digest = hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
+    assert (len(ids), digest) == WILSON_PINS[n, seed]
 
 
 def test_wilson_single_vertex():
