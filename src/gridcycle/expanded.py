@@ -23,17 +23,19 @@ a DFS preorder, in which every subtree is one contiguous range; the 25 tile
 contractions of a tree share that layout and differ only in which vertices
 they mark, so a tile's Steiner tree comes from prefix sums over the marks
 with no step per node or per depth level.  Every contracted grid is still
-validated like any other, the planarity check of its extra edges included;
-that check is now most of a contraction's cost.
+validated like any other, its drawability included.  Drawability is decided
+from the bridges of the boundary cycle (``ExpandedGrid.is_drawable``): a
+sector test over pairs of the bridges that must lie in the outer face, and
+a small path-addition planarity test for each component of duplicates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 from scipy.sparse.csgraph import depth_first_order
 
@@ -170,37 +172,79 @@ class ExpandedGrid:
                 "pinned at their bases")
 
     def is_drawable(self) -> bool:
-        """Planarity of the boundary cycle + apex + extra edges, duplicates
-        taken as free outside vertices.
+        """Whether the extra edges embed in the plane with the grid's
+        interior a face, duplicates taken as free outside vertices.
 
-        The apex vertex joined to every boundary vertex forces the grid's
-        interior to stay a face, so the extra edges must all embed in the
-        outer region.  Pinning duplicates near their bases costs nothing
-        combinatorially: a boundary-fixing ambient isotopy of the outer
-        region can drag any interior vertex arbitrarily close to its base
-        while the incident curves follow, so one planar embedding yields,
-        for every positive tolerance, an embedding with all duplicates that
-        close to their bases.
+        Pinning duplicates near their bases costs nothing combinatorially:
+        a boundary-fixing ambient isotopy of the outer region can drag any
+        vertex there arbitrarily close to its base while the incident curves
+        follow.  Joining an apex to every vertex of the boundary cycle R
+        keeps the interior a face, so the question is whether G = R + apex
+        + extra edges is planar.  It is decided from the bridges of R in G:
+
+        * every boundary-to-boundary extra edge that is not a ring edge (a
+          chord bridge);
+        * every connected component of duplicates under the
+          duplicate-to-duplicate edges, with its edges to R;
+        * the apex, attached to all of R.
+
+        Two bridges *overlap* when they share three attachments or are skew
+        (attachments u, v of one and u', v' of the other lie in the order
+        u, u', v, v' around R).  By Tutte's theorem on the bridges of a
+        cycle (Mohar and Thomassen, *Graphs on Surfaces*, 2001), G is planar
+        iff R + B is planar for every bridge B and the overlap graph is
+        bipartite.  With A the attachments of B:
+
+        1. If A lies within one ring edge {i, i+1}, B overlaps no bridge: it
+           has at most two attachments, with no vertex of R strictly
+           between them on one side.  Every other, *outer*, bridge overlaps
+           the apex: it has three or more attachments, or two with vertices
+           of R strictly between them on both sides.  (So the outer bridges
+           must all lie in the outer face of the wheel R + apex, whose
+           embedding is unique because a wheel is 3-connected.)  The
+           overlap graph is therefore the apex joined to every outer bridge
+           plus the overlaps among outer bridges, and it is bipartite iff
+           the outer bridges pairwise do not overlap: any overlap among
+           them closes a triangle through the apex.
+        2. Bridges B and B' with |A| >= 2 do not overlap iff A' lies within
+           one closed *sector* of B, an arc of R between cyclically
+           consecutive attachments a_j, a_{j+1}.  If it does, B' shares at
+           most a_j and a_{j+1} with B, and no two attachments of B'
+           separate two of B.  If it does not, either A' is a subset of A
+           with three members, or with two that are not consecutive and so
+           separate two others of A; or some a' of A' lies strictly inside
+           a sector (a_j, a_{j+1}) and another, a'', outside it, and then
+           a_j, a', a_{j+1}, a'' are skew.
+        3. R + B is planar for the apex (a wheel) and for a chord.  For a
+           duplicate bridge, suppressing the vertices of R of degree two in
+           R + B leaves Q_B: B plus the cycle through A in ring order (an
+           edge if |A| = 2, nothing if |A| <= 1), planar iff R + B is.
+           :func:`_is_planar` decides it.
+
+        So G is planar iff every Q_B is planar and the outer bridges pass
+        the pairwise sector test.  Self-loops never reach this check
+        (``validate`` rejects them first); parallel edges, chords along ring
+        edges and isolated duplicates change nothing.
         """
-        if self.host.n == 1:
+        host = self.host
+        if host.n == 1 or not self.xedges:
             return True
-        if not self.xedges:
-            return True
-        ring = self.host.boundary_cycle()
-        pos = {v: i for i, v in enumerate(ring)}
-        L = len(ring)
-        g = nx.Graph()
-        g.add_nodes_from(range(L))
-        for i in range(L):
-            g.add_edge(i, (i + 1) % L)
-            g.add_edge("apex", i)
-        for a, b in self.xedges:
-            na = ("dup", a[1]) if _is_dup_ref(a) else pos[a]
-            nb = ("dup", b[1]) if _is_dup_ref(b) else pos[b]
-            if na != nb:
-                g.add_edge(na, nb)
-        ok, _ = nx.check_planarity(g)
-        return ok
+        ring = 4 * host.n - 4
+        # Vertices: boundary positions 0..ring-1, then ring + duplicate id.
+        ends = [tuple(ring + r[1] if _is_dup_ref(r)
+                      else host.boundary_position(r) for r in e)
+                for e in self.xedges]
+        outer = []
+        for att, edges in _ring_bridges(ends, ring):
+            # Q_B; for |A| <= 2 the cycle through A degenerates into a loop
+            # or a doubled edge, which _is_planar ignores.
+            if edges and not _is_planar(edges
+                                        + list(zip(att, att[1:] + att[:1]))):
+                return False
+            if len(att) > 2 or (len(att) == 2
+                                and 1 < att[1] - att[0] < ring - 1):
+                outer.append(att)
+        return _sectors_nest(outer)
 
     # -- file format -------------------------------------------------------
 
@@ -247,6 +291,233 @@ class ExpandedGrid:
         if n is None:
             raise missing_line(path, len(lines) + 1, "n <side>")
         return ExpandedGrid(GridGraph(n), dups, xedges)
+
+
+# -- drawability: the bridges of the boundary cycle ----------------------------
+
+
+def _ring_bridges(ends, ring: int) -> list:
+    """The bridges of the cycle 0, 1, ..., ring-1 in the graph of the edges
+    ``ends`` (vertices from ``ring`` on lie off the cycle), each as its
+    attachments in ring order and its edges: one bridge per chord that is
+    not a ring edge (its edges left empty) and one per component of the
+    vertices off the cycle."""
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in ends:
+        if a >= ring and b >= ring:
+            root[find(a)] = find(b)
+    bridges = []
+    parts = {}
+    for a, b in ends:
+        if a < ring and b < ring:
+            if (a - b) % ring not in (1, ring - 1):
+                bridges.append(((min(a, b), max(a, b)), []))
+            continue
+        att, edges = parts.setdefault(find(max(a, b)), (set(), []))
+        edges.append((a, b))
+        if min(a, b) < ring:
+            att.add(min(a, b))
+    return bridges + [(tuple(sorted(att)), edges)
+                      for att, edges in parts.values()]
+
+
+def _sectors_nest(atts) -> bool:
+    """Whether no two of these attachment tuples (ascending ring positions,
+    at least two each) overlap: of each pair, the later lies within one
+    closed sector of the earlier, a sector being the arc from one
+    attachment to the next in ring order.  (Not overlapping is symmetric,
+    so one direction suffices.)"""
+    for k, p in enumerate(atts):
+        m = len(p)
+        for q in atts[k + 1:]:
+            common = set(range(m))
+            for x in q:
+                j = bisect_left(p, x)
+                # Sector j runs from p[j] to p[j + 1]; the last one wraps.
+                common &= ({(j - 1) % m, j} if j < m and p[j] == x
+                           else {(j - 1) % m})
+                if not common:
+                    return False
+    return True
+
+
+def _is_planar(edges) -> bool:
+    """Planarity of a graph given by its edges (loops and parallel edges
+    ignored): a graph is planar iff each of its biconnected blocks is."""
+    adj = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return all(_block_is_planar(block) for block in _blocks(adj))
+
+
+def _blocks(adj):
+    """The biconnected blocks of a simple graph (``adj`` maps each vertex to
+    its neighbour set), each as a list of edges: Hopcroft and Tarjan's
+    depth-first search, run with an explicit stack.  A stack entry keeps
+    where its vertex's tree edge sits on the edge stack."""
+    num, low = {}, {}
+    for root in adj:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        stack = [(root, iter(adj[root]), 0)]
+        edges = []
+        while stack:
+            v, it, _ = stack[-1]
+            for w in it:
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append((w, iter(adj[w]), len(edges)))
+                    edges.append((v, w))
+                    break
+                if num[w] < num[v] and (len(stack) < 2 or w != stack[-2][0]):
+                    low[v] = min(low[v], num[w])
+                    edges.append((v, w))
+            else:
+                _, _, mark = stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= num[u]:
+                        yield edges[mark:]
+                        del edges[mark:]
+
+
+def _block_is_planar(edges) -> bool:
+    """Planarity of a biconnected simple graph by path addition (Demoucron,
+    Malgrange and Pertuiset, 1964).
+
+    Embed a cycle; it bounds two faces.  Then, while a bridge of the
+    embedded part remains, find for every bridge the faces whose boundary
+    holds all its attachments.  A bridge with none makes the graph
+    nonplanar; otherwise a path of the bridge between two attachments goes
+    into such a face, which it splits in two, taking a bridge with one such
+    face first when there is one.  The graph is planar iff this embeds
+    every edge.  Every face of a biconnected plane graph is bounded by a
+    cycle, kept here as its vertex list.
+    """
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    nv = len(adj)
+    if nv <= 4:
+        return True
+    if len(edges) > 3 * nv - 6:
+        return False
+    # A first cycle: the edge (a, b) and a shortest other path from b to a.
+    a, b = edges[0]
+    prev = {a: a}
+    queue = [a]
+    for v in queue:
+        for w in adj[v]:
+            if w not in prev and (v, w) != (a, b):
+                prev[w] = v
+                queue.append(w)
+    cycle = [b]
+    while cycle[-1] != a:
+        cycle.append(prev[cycle[-1]])
+    faces = [cycle, list(cycle)]
+    on = {v: {0, 1} for v in cycle}  # embedded vertex -> faces through it
+    placed = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    while True:
+        # Bridges as (attachments, component off the embedded part): chords
+        # have no component.
+        bridges = [((v, w), None) for v in on for w in adj[v]
+                   if v < w and w in on and frozenset((v, w)) not in placed]
+        seen = set()
+        for s in adj:
+            if s in on or s in seen:
+                continue
+            seen.add(s)
+            comp, att = [s], set()
+            for v in comp:
+                for w in adj[v]:
+                    if w in on:
+                        att.add(w)
+                    elif w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            bridges.append((att, comp))
+        if not bridges:
+            return True
+        pick = None
+        for att, comp in bridges:
+            fits = set.intersection(*(on[v] for v in att))
+            if not fits:
+                return False
+            if pick is None or len(fits) == 1:
+                pick = att, comp, fits
+                if len(fits) == 1:
+                    break
+        att, comp, fits = pick
+        path = list(att) if comp is None else _bridge_path(adj, att, comp)
+        f = min(fits)
+        face = faces[f]
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        for v in face:
+            on[v].discard(f)
+        faces[f] = face[:j + 1] + path[-2:0:-1]
+        faces.append(face[j:] + face[:1] + path[1:-1])
+        for g in (f, len(faces) - 1):
+            for v in faces[g]:
+                on.setdefault(v, set()).add(g)
+        placed.update(frozenset(e) for e in zip(path, path[1:]))
+
+
+def _bridge_path(adj, att, comp) -> list:
+    """A path through the component ``comp`` of a bridge between two
+    distinct attachments in ``att``, as a vertex list with the attachments
+    at its ends: a breadth-first search from one attachment into the
+    component, stopped at a vertex next to another attachment."""
+    inside = set(comp)
+    a = next(iter(att))
+    start = next(w for w in adj[a] if w in inside)
+    prev = {start: a}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w in att and w != a:
+                path = [w, v]
+                while path[-1] != a:
+                    path.append(prev[path[-1]])
+                return path
+            if w in inside and w not in prev:
+                prev[w] = v
+                queue.append(w)
+    raise AssertionError("a bridge of a biconnected graph has two attachments")
+def _bridge_path(adj, on, comp) -> list:
+    """A path through the component ``comp`` of a bridge between two
+    distinct attachments, as a vertex list with the attachments at its
+    ends: a breadth-first search from one attachment into the component,
+    stopped at a vertex next to another attachment."""
+    a = next(w for w in adj[comp[0]] if w in on)
+    start = comp[0]
+    prev = {start: a}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w in on:
+                if w != a:
+                    path = [w, v]
+                    while path[-1] != a:
+                        path.append(prev[path[-1]])
+                    return path
+            elif w not in prev:
+                prev[w] = v
+                queue.append(w)
+    raise AssertionError("a bridge of a biconnected graph has two attachments")
 
 
 _ENDPOINT_SHAPES = {"h": "h <x> <y>", "d": "d <id>"}
@@ -513,8 +784,10 @@ def contract(h: ExpandedGrid, t: XSpanningTree, sub: SubgridRef
     visited one by one.  Extra edges come in the order of a walk over the
     kept vertices by index, each emitting its chains toward the subgrid's
     lower-left corner first, then by host edge id, then by extra-edge
-    index.  The result is validated as any expanded grid is, planarity of
-    its extra edges included.
+    index.  The result is validated as any expanded grid is, its
+    drawability included: the bridges of its boundary cycle, one pairwise
+    sector test and a path-addition planarity test per duplicate component
+    (:meth:`ExpandedGrid.is_drawable`).
     """
     host = h.host
     n = host.n

@@ -270,13 +270,20 @@ def random_spanning_tree(g: GridGraph, seed: int) -> SpanningTree:
     in_tree = bytearray(nv)
     in_tree[root] = 1
     nxt = [-1] * nv
-    choice = rng.choice
+    # rng.choice(nb), inlined: CPython's _randbelow_with_getrandbits draws
+    # len(nb).bit_length() bits until they fall below len(nb).
+    getrandbits = rng.getrandbits
     for start in range(nv):
         if in_tree[start]:
             continue
         u = start
         while not in_tree[u]:
-            v = choice(nbrs[u])
+            nb = nbrs[u]
+            k = len(nb)
+            r = getrandbits(k.bit_length())
+            while r >= k:
+                r = getrandbits(k.bit_length())
+            v = nb[r]
             nxt[u] = v
             u = v
         u = start

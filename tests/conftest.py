@@ -5,10 +5,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import networkx as nx
 import numpy as np
 
 from gridcycle.errors import GridCycleError, OutOfRangeError
-from gridcycle.expanded import Duplicate, ExpandedGrid, XSpanningTree
+from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
+                                _is_dup_ref)
 from gridcycle.grid import GridGraph, SubgridRef
 from gridcycle.search import LocalSearchResult, SearchBudget
 from gridcycle.tree import SpanningTree
@@ -447,3 +449,55 @@ def reference_long_edge(h: ExpandedGrid, t: XSpanningTree, i: int):
             if outer and any(2 * m + 1 <= p[axis] <= 3 * m for p in path):
                 return eid
     return None
+
+
+def reference_is_drawable(h) -> bool:
+    """Drawability by networkx's LR planarity test on the boundary cycle, an
+    apex joined to all of it and the extra edges, duplicates taken as free
+    outside vertices: the independent reference for
+    ``ExpandedGrid.is_drawable``.  Reads only ``h.host`` and ``h.xedges``,
+    so it also takes edge sets that ``ExpandedGrid`` would reject."""
+    if h.host.n == 1:
+        return True
+    if not h.xedges:
+        return True
+    ring = h.host.boundary_cycle()
+    pos = {v: i for i, v in enumerate(ring)}
+    L = len(ring)
+    g = nx.Graph()
+    g.add_nodes_from(range(L))
+    for i in range(L):
+        g.add_edge(i, (i + 1) % L)
+        g.add_edge("apex", i)
+    for a, b in h.xedges:
+        na = ("dup", a[1]) if _is_dup_ref(a) else pos[a]
+        nb = ("dup", b[1]) if _is_dup_ref(b) else pos[b]
+        if na != nb:
+            g.add_edge(na, nb)
+    ok, _ = nx.check_planarity(g)
+    return ok
+
+
+def reference_wilson_edges(g: GridGraph, seed: int) -> list[int]:
+    """Edge ids of Wilson's uniform spanning tree drawn with
+    ``random.Random.choice`` at every walk step, as ``random_spanning_tree``
+    did before it inlined the draw: loop-erased walks from every vertex in
+    index order into the tree grown from vertex 0."""
+    rng = random.Random(seed)
+    nv = g.num_vertices
+    nbrs = [[g.vertex_index(w) for w in
+             [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)] if g.contains(w)]
+            for x, y in map(g.vertex_at, range(nv))]
+    in_tree = [v == 0 for v in range(nv)]
+    nxt = [-1] * nv
+    for start in range(nv):
+        u = start
+        while not in_tree[u]:
+            nxt[u] = rng.choice(nbrs[u])
+            u = nxt[u]
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = nxt[u]
+    return sorted(g.edge_id(g.vertex_at(v), g.vertex_at(nxt[v]))
+                  for v in range(1, nv))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +191,15 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "L 4" in proc.stdout
+
+
+def test_import_loads_no_networkx():
+    """networkx is a test dependency only: importing the package, as every
+    CLI call does, must not load it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gridcycle, sys; assert 'networkx' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,20 +1,24 @@
 import json
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (comb_tree, reference_contract, reference_edge_lengths,
-                      reference_long_edge, spiral_tree)
+                      reference_is_drawable, reference_long_edge, spiral_tree)
 from gridcycle.construction import build_tree
 from gridcycle.errors import (CounterexampleError, DegeneratePointError,
                               EmptyCycleError, GridCycleError, LayerError,
                               MalformedEdgeError, MalformedFileError,
                               NotDrawableError, OutOfRangeError)
 from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
-                                _ring_steps, contract, find_long_edge,
+                                _is_planar, _ring_steps, contract,
+                                find_long_edge,
                                 lemma_lower_check, lstar, plain, reroute_walk,
                                 walk_length, winding_number, xperimeter)
 from gridcycle.grid import SubgridRef, make_grid
@@ -52,6 +56,168 @@ def test_drawability():
         ExpandedGrid(g, [], [((1, 1), (3, 1)), ((2, 1), (4, 1))])
     h = ExpandedGrid(g, [], [((1, 1), (4, 1)), ((2, 1), (3, 1))])
     assert h.is_drawable()
+
+
+def drawable_outcome(g, dups, xedges) -> bool:
+    """Whether ``ExpandedGrid`` accepts the grid; it raises
+    ``NotDrawableError`` when ``is_drawable`` says no."""
+    try:
+        ExpandedGrid(g, dups, xedges)
+    except NotDrawableError:
+        return False
+    return True
+
+
+def test_drawability_of_duplicate_graphs():
+    g = make_grid(5)
+    bases = [(1, 1), (3, 1), (5, 3), (3, 5), (1, 3)]
+    dups = [Duplicate(k, b, 0) for k, b in enumerate(bases)]
+    d = [("d", k) for k in range(5)]
+    k5 = [(d[i], d[j]) for i in range(5) for j in range(i + 1, 5)]
+    k4 = [e for e in k5 if d[4] not in e]
+    assert not drawable_outcome(g, dups, k5)
+    assert drawable_outcome(g, dups, k4)
+    # K4 on duplicates, three of them tied to the ring: Q_B is K4 with a
+    # triangle around three of its vertices, planar.  Tying the fourth
+    # makes Q_B a cube with both diagonals in its inner face, nonplanar.
+    ties = [(d[0], (1, 1)), (d[1], (3, 1)), (d[2], (5, 3))]
+    assert drawable_outcome(g, dups, k4 + ties)
+    assert not drawable_outcome(g, dups, k4 + ties + [(d[3], (3, 5))])
+    # A path of duplicates from (1, 1) to (5, 5) and a chord from (5, 1)
+    # to (1, 5) interleave; the same path tied back to (1, 1) does not.
+    path = [((1, 1), d[0]), (d[0], d[1]), (d[1], (5, 5))]
+    assert not drawable_outcome(g, dups, path + [((5, 1), (1, 5))])
+    assert drawable_outcome(g, dups, path[:2] + [(d[1], (2, 1)),
+                                                 ((5, 1), (1, 5))])
+
+
+@pytest.mark.parametrize("n,seed,grids", [
+    (25, 1, [25] + [5] * 25), (25, 2, [25] + [5] * 25),
+    (125, 1401, [125] + [25] * 25), (130, 7, [130, 125] + [25] * 25)])
+def test_drawable_matches_reference_on_lower_tiles(monkeypatch, n, seed,
+                                                   grids):
+    """Every grid that ``lemma_lower_check`` contracts from a uniform tree,
+    the general form's 125-grid with duplicates included, gets the same
+    answer from the bridge rule and from networkx."""
+    sides = []
+    fast = ExpandedGrid.is_drawable
+
+    def both(h):
+        ok = fast(h)
+        assert ok == reference_is_drawable(h)
+        sides.append(h.host.n)
+        return ok
+
+    monkeypatch.setattr(ExpandedGrid, "is_drawable", both)
+    t = random_spanning_tree(make_grid(n), seed)
+    xt = XSpanningTree.from_host_tree(t)
+    lemma_lower_check(xt.grid, xt)
+    assert sides == grids
+
+
+@st.composite
+def drawing_cases(draw):
+    """A grid of side 2..9 with duplicates and extra edges made of gadgets:
+    chords (ring edges among them), duplicate forests and cycles, and K5 or
+    K3,3 on duplicates with 0-3 ties to the ring; some edges repeated, some
+    duplicates left isolated."""
+    n = draw(st.integers(2, 9))
+    ring = make_grid(n).boundary_cycle()
+    at = st.integers(0, len(ring) - 1)
+    bases, xedges = [], []
+
+    def new_dups(k):
+        first = len(bases)
+        bases.extend(ring[draw(at)] for _ in range(k))
+        return [("d", i) for i in range(first, first + k)]
+
+    for kind in draw(st.lists(st.sampled_from(
+            ["chord", "ring edge", "forest", "cycle", "K5", "K3,3"]),
+            min_size=1, max_size=4)):
+        if kind == "chord":
+            a, b = draw(at), draw(at)
+            if a != b:
+                xedges.append((ring[a], ring[b]))
+            continue
+        if kind == "ring edge":
+            a = draw(at)
+            xedges.append((ring[a], ring[(a + 1) % len(ring)]))
+            continue
+        if kind == "forest":
+            d = new_dups(draw(st.integers(1, 6)))
+            xedges += [(d[i], d[draw(st.integers(0, i - 1))])
+                       for i in range(1, len(d)) if draw(st.integers(0, 3))]
+            ties = draw(st.integers(0, 6))
+        elif kind == "cycle":
+            d = new_dups(draw(st.integers(3, 6)))
+            xedges += list(zip(d, d[1:] + d[:1]))
+            ties = draw(st.integers(0, 4))
+        elif kind == "K5":
+            d = new_dups(5)
+            xedges += [(d[i], d[j]) for i in range(5) for j in range(i + 1, 5)]
+            ties = draw(st.integers(0, 3))
+        else:
+            d = new_dups(6)
+            xedges += [(d[i], d[j]) for i in range(3) for j in range(3, 6)]
+            ties = draw(st.integers(0, 3))
+        xedges += [(d[draw(st.integers(0, len(d) - 1))], ring[draw(at)])
+                   for _ in range(ties)]
+    if xedges and draw(st.booleans()):
+        a, b = xedges[draw(st.integers(0, len(xedges) - 1))]
+        xedges.append((b, a))
+    new_dups(draw(st.integers(0, 2)))
+    dups = [Duplicate(k, b, 0) for k, b in enumerate(bases)]
+    return make_grid(n), dups, xedges
+
+
+def test_drawable_matches_reference_on_generated_grids():
+    outcomes = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawing_cases())
+    def check(case):
+        g, dups, xedges = case
+        ok = drawable_outcome(g, dups, xedges)
+        assert ok == reference_is_drawable(SimpleNamespace(host=g,
+                                                           xedges=xedges))
+        outcomes.add(ok)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_is_planar_matches_networkx_on_small_graphs():
+    """The per-bridge planarity routine against networkx on random graphs
+    of up to 9 vertices, half of them glued to a second random graph at a
+    cut vertex, with labels shuffled; plus named planar and nonplanar
+    graphs."""
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(3000):
+        nv, p = rng.randint(1, 9), rng.random()
+        edges = [(a, b) for a in range(nv) for b in range(a + 1, nv)
+                 if rng.random() < p]
+        if rng.random() < 0.5:
+            m, q = rng.randint(2, 7), rng.random()
+            edges += [(a + nv - 1, b + nv - 1) for a in range(m)
+                      for b in range(a + 1, m) if rng.random() < q]
+        label = rng.sample(range(100), 2 * 9)
+        edges = [(label[a], label[b]) for a, b in edges]
+        rng.shuffle(edges)
+        ok = _is_planar(edges)
+        assert ok == nx.check_planarity(nx.Graph(edges))[0]
+        outcomes.add(ok)
+    assert outcomes == {True, False}
+    k5_minus = [e for e in nx.complete_graph(5).edges if e != (0, 1)]
+    for graph, planar in [(nx.complete_graph(5), False),
+                          (nx.complete_bipartite_graph(3, 3), False),
+                          (nx.petersen_graph(), False),
+                          (nx.complete_graph(4), True),
+                          (nx.Graph(k5_minus), True),
+                          (nx.octahedral_graph(), True),
+                          (nx.icosahedral_graph(), True),
+                          (nx.grid_2d_graph(4, 4), True)]:
+        assert _is_planar(list(graph.edges)) == planar
 
 
 # -- perimeters of walks ------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import gridcycle.search as search
 from conftest import (comb_tree, explicit_cycle_length, reference_enumerate,
-                      reference_local_search, spiral_tree)
+                      reference_local_search, reference_wilson_edges,
+                      spiral_tree)
 from gridcycle.cli import main
 from gridcycle.construction import build_tree
 from gridcycle.errors import CounterexampleError, NotAChordError, TooLargeError
@@ -169,6 +171,31 @@ def test_wilson_edge_ids_pinned(n, seed):
     ids = random_spanning_tree(make_grid(n), seed).tree_edge_ids().tolist()
     digest = hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
     assert (len(ids), digest) == WILSON_PINS[n, seed]
+
+
+def test_wilson_draw_matches_choice():
+    """The walk draws a neighbour the way CPython's ``Random.choice`` does
+    (``_randbelow_with_getrandbits``): len(nb).bit_length() bits, drawn
+    again until they fall below len(nb).  A Python whose ``choice``
+    consumes the stream otherwise fails here, not by changing trees."""
+    for seed in range(300):
+        for k in (2, 3, 4):
+            a, b = random.Random(seed), random.Random(seed)
+            seq = list(range(10, 10 + k))
+            for _ in range(40):
+                r = b.getrandbits(k.bit_length())
+                while r >= k:
+                    r = b.getrandbits(k.bit_length())
+                assert a.choice(seq) == seq[r]
+            assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20])
+def test_wilson_matches_choice_reference(n):
+    g = make_grid(n)
+    for seed in range(12):
+        ids = random_spanning_tree(g, seed).tree_edge_ids().tolist()
+        assert ids == reference_wilson_edges(g, seed)
 
 
 def test_wilson_single_vertex():
