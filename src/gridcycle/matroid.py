@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyMatroidError, MalformedFileError
 from .grid import GridGraph
-from .tree import SpanningTree, record_ints
+from .tree import SpanningTree, record_ints, tree_path
 
 
 @dataclass(frozen=True)
@@ -42,42 +44,65 @@ class EchelonMatrix:
 
     @staticmethod
     def from_file(path) -> "EchelonMatrix":
-        """Read a matrix file.  A malformed line, or an entry count other
-        than the header's, raises :class:`MalformedFileError` naming the
-        file and the line number (the header's for the count)."""
+        """Read a matrix file.  A malformed line, an entry outside
+        [0, rows) x [0, cols), or an entry count other than the header's,
+        raises :class:`MalformedFileError` naming the file and the line
+        number (the header's for the count)."""
         with open(path) as fh:
             lines = fh.read().splitlines()
         n_rows, n_cols, nnz = record_ints(path, 1, (lines or [""])[0],
                                           "<rows> <cols> <nnz>")
-        entries = tuple(tuple(record_ints(path, i, ln, "<row> <col>"))
-                        for i, ln in enumerate(lines[1:], 2) if ln.strip())
+        entries = []
+        for i, ln in enumerate(lines[1:], 2):
+            if not ln.strip():
+                continue
+            r, c = record_ints(path, i, ln, "<row> <col>")
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise MalformedFileError(
+                    path, i, f"entry ({r}, {c}) outside the {n_rows} x "
+                    f"{n_cols} matrix")
+            entries.append((r, c))
         if len(entries) != nnz:
             raise MalformedFileError(
                 path, 1, f"expected {nnz} entries, got {len(entries)}")
-        return EchelonMatrix(n_rows, n_cols, entries)
+        return EchelonMatrix(n_rows, n_cols, tuple(entries))
 
 
 def echelon_representation(g: GridGraph, t: SpanningTree) -> EchelonMatrix:
     """Build the echelon representation for tree t of grid g.
 
     Chord columns are derived from explicitly materialized fundamental
-    cycles, independent of the O(1) length machinery.
+    cycles (:func:`tree_path` walks, as in ``fundamental_cycle``),
+    independent of the O(1) length machinery; one vectorized ``edge_ids``
+    call names the tree edges of every consecutive pair on them.
     """
     if g.n < 2:
         raise EmptyMatroidError("the 1-grid has no edges to represent")
-    tree_ids = [int(e) for e in t.tree_edge_ids()]
-    row_of = {eid: i for i, eid in enumerate(sorted(tree_ids))}
-    entries = []
-    for eid, row in row_of.items():
-        entries.append((row, eid))
-    for chord in t.chord_ids():
-        chord = int(chord)
-        cycle = t.fundamental_cycle(chord)
-        for i in range(len(cycle) - 1):
-            f = g.edge_id(cycle[i], cycle[i + 1])
-            entries.append((row_of[f], chord))
-    entries.sort()
-    return EchelonMatrix(len(row_of), g.num_edges, tuple(entries))
+    tree_ids = t.tree_edge_ids()
+    row_of = np.full(g.num_edges, -1, dtype=np.int64)
+    row_of[tree_ids] = np.arange(len(tree_ids))
+    chords = t.chord_ids()
+    ua, ub = g.edge_endpoint_indices(chords)
+    nodes, lens = [], []
+    for a, b in zip(ua.tolist(), ub.tolist()):
+        path = tree_path(t.parent_idx, t.depth_arr, a, b)
+        nodes += path
+        lens.append(len(path))
+    nodes, lens = np.array(nodes), np.array(lens)
+    # Every node but the last of its path starts one step of that path.
+    step = np.ones(len(nodes), dtype=bool)
+    step[np.cumsum(lens) - 1] = False
+    i = np.flatnonzero(step)
+    rows = np.concatenate([row_of[tree_ids],
+                           row_of[g.edge_ids(nodes[i], nodes[i + 1])]])
+    cols = np.concatenate([tree_ids, np.repeat(chords, lens - 1)])
+    order = np.lexsort((cols, rows))
+    # One int object per index value, shared by every entry that holds it,
+    # keeps the entry tuples at about half the memory of fresh ints.
+    ints = list(range(g.num_edges))
+    rows = list(map(ints.__getitem__, rows[order].tolist()))
+    cols = list(map(ints.__getitem__, cols[order].tolist()))
+    return EchelonMatrix(len(tree_ids), g.num_edges, tuple(zip(rows, cols)))
 
 
 def sparsity(g: GridGraph, t: SpanningTree) -> int:
@@ -91,20 +116,23 @@ def sparsity(g: GridGraph, t: SpanningTree) -> int:
 
 
 def gf2_rank(m: EchelonMatrix) -> int:
-    """GF(2) rank by elimination over bit-packed integer rows."""
+    """GF(2) rank of any matrix: each bit-packed row is reduced by a basis
+    of earlier rows kept under their highest set bits, until it is zero or
+    has a highest bit no basis row has and joins the basis; the rank is the
+    basis's size."""
     rows = [0] * m.n_rows
     for r, c in m.entries:
         rows[r] ^= 1 << c
-    rank = 0
-    for i in range(len(rows)):
-        if rows[i] == 0:
-            continue
-        pivot = rows[i] & -rows[i]
-        rank += 1
-        for j in range(i + 1, len(rows)):
-            if rows[j] & pivot:
-                rows[j] ^= rows[i]
-    return rank
+    basis = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = row
+                break
+            row ^= b
+    return len(basis)
 
 
 def column_cycle_check(g: GridGraph, m: EchelonMatrix, t: SpanningTree,

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import CounterexampleError, NotAChordError, TooLargeError
 from .grid import GridGraph
@@ -327,8 +329,10 @@ def swap_deltas(t: SpanningTree, e: int) -> np.ndarray:
     position j turns the cycle of every chord c with lo_c <= j < hi_c into
     C_c xor C_e, of length |C_c| + |C_e| - 2 k_c, and leaves the others
     alone; the removed edge's own cycle is C_e, which cancels e's.  The sums
-    over j come from one difference array, and the four distance vectors
-    from one batched LCA call.
+    over j come from one difference array.  The tree distances d(a, .) and
+    d(b, .) to every vertex come from one unweighted two-source
+    ``dijkstra`` over the tree's (vertex, parent) pairs, whose cost does not
+    depend on the tree's depth.
     """
     chords = t.chord_ids()
     i = int(np.searchsorted(chords, e))
@@ -336,8 +340,13 @@ def swap_deltas(t: SpanningTree, e: int) -> np.ndarray:
         raise NotAChordError(f"edge {e} is not a chord of the tree")
     k = len(chords)
     ends = np.concatenate(t.host.edge_endpoint_indices(chords))
-    d = t.distances(np.repeat(ends[[i, k + i]], 2 * k), np.tile(ends, 2))
-    d_a, d_b = d[:2 * k], d[2 * k:]
+    parent = t.parent_idx
+    nv = len(parent)
+    # Row v holds v's parent; the root's self-loop never shortens a path.
+    adj = csr_matrix((np.ones(nv), parent, np.arange(nv + 1)), shape=(nv, nv))
+    d = dijkstra(adj, directed=False, unweighted=True,
+                 indices=ends[[i, k + i]])[:, ends].astype(np.int64)
+    d_a, d_b = d
     m = int(d_a[k + i])
     pos = (d_a + m - d_b) // 2
     lo = np.minimum(pos[:k], pos[k:])
@@ -348,6 +357,20 @@ def swap_deltas(t: SpanningTree, e: int) -> np.ndarray:
     np.add.at(diff, lo, w)
     np.add.at(diff, hi, -w)
     return np.cumsum(diff[:m])
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle x in place exactly as CPython 3.11's ``Random.shuffle`` does,
+    given that generator's ``getrandbits``: Fisher-Yates from the end, each
+    swap partner drawn as ``_randbelow_with_getrandbits(i + 1)`` does, by
+    (i + 1).bit_length() bits drawn again until they fall below i + 1."""
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
 
 
 def _chord_length_sum(t: SpanningTree) -> int:
@@ -382,7 +405,7 @@ def local_search(g: GridGraph, t0: SpanningTree,
 
     while True:
         chords = current.chord_ids().tolist()
-        rng.shuffle(chords)
+        _shuffle(chords, rng.getrandbits)
         for e in chords:
             room = budget.max_trees - evals
             if room <= 0 or time.monotonic() - t_start >= budget.max_seconds:

@@ -8,10 +8,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import networkx as nx
 import numpy as np
 
-from gridcycle.errors import GridCycleError, OutOfRangeError
+from gridcycle.errors import EmptyMatroidError, GridCycleError, OutOfRangeError
 from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
                                 _is_dup_ref)
 from gridcycle.grid import GridGraph, SubgridRef
+from gridcycle.matroid import EchelonMatrix
 from gridcycle.search import LocalSearchResult, SearchBudget
 from gridcycle.tree import SpanningTree
 
@@ -501,3 +502,46 @@ def reference_wilson_edges(g: GridGraph, seed: int) -> list[int]:
             u = nxt[u]
     return sorted(g.edge_id(g.vertex_at(v), g.vertex_at(nxt[v]))
                   for v in range(1, nv))
+
+
+def reference_echelon(g: GridGraph, t: SpanningTree) -> EchelonMatrix:
+    """The per-step echelon representation that
+    ``matroid.echelon_representation`` must match entry for entry: every
+    chord's fundamental cycle traced by ``fundamental_cycle`` and each of
+    its steps named by one ``edge_id`` call, then one sort of the (row,
+    col) pairs."""
+    if g.n < 2:
+        raise EmptyMatroidError("the 1-grid has no edges to represent")
+    tree_ids = [int(e) for e in t.tree_edge_ids()]
+    row_of = {eid: i for i, eid in enumerate(sorted(tree_ids))}
+    entries = []
+    for eid, row in row_of.items():
+        entries.append((row, eid))
+    for chord in t.chord_ids():
+        chord = int(chord)
+        cycle = t.fundamental_cycle(chord)
+        for i in range(len(cycle) - 1):
+            f = g.edge_id(cycle[i], cycle[i + 1])
+            entries.append((row_of[f], chord))
+    entries.sort()
+    return EchelonMatrix(len(row_of), g.num_edges, tuple(entries))
+
+
+def reference_gf2_rank(m: EchelonMatrix) -> int:
+    """GF(2) rank by row elimination over bit-packed integer rows: each
+    nonzero row in turn takes its lowest set bit as pivot and clears that
+    bit from every later row.  The independent reference for
+    ``matroid.gf2_rank``."""
+    rows = [0] * m.n_rows
+    for r, c in m.entries:
+        rows[r] ^= 1 << c
+    rank = 0
+    for i in range(len(rows)):
+        if rows[i] == 0:
+            continue
+        pivot = rows[i] & -rows[i]
+        rank += 1
+        for j in range(i + 1, len(rows)):
+            if rows[j] & pivot:
+                rows[j] ^= rows[i]
+    return rank

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import comb_tree, rows_plus_column_tree
+from conftest import (comb_tree, reference_echelon, reference_gf2_rank,
+                      rows_plus_column_tree, spiral_tree)
 from gridcycle.construction import build_tree
-from gridcycle.errors import EmptyMatroidError
+from gridcycle.errors import EmptyMatroidError, MalformedFileError
 from gridcycle.grid import make_grid
 from gridcycle.matroid import (EchelonMatrix, column_cycle_check,
                                echelon_representation, gf2_rank, sparsity)
@@ -99,11 +100,78 @@ def test_export_roundtrip(tmp_path):
     ("2 3 2\n0 0\n1\n", "3", "expected '<row> <col>', got '1'"),
     ("2 3 2\n0 0\n1 x\n", "3", "expected '<row> <col>', got '1 x'"),
     ("2 3 two\n", "1", "expected '<rows> <cols> <nnz>', got '2 3 two'"),
+    ("2 3 2\n0 0\n\n5 1\n", "4", "entry (5, 1) outside the 2 x 3 matrix"),
+    ("2 3 1\n-1 0\n", "2", "entry (-1, 0) outside the 2 x 3 matrix"),
+    ("2 3 2\n1 -2\n0 0\n", "2", "entry (1, -2) outside the 2 x 3 matrix"),
 ], ids=["empty", "truncated_header", "truncated_entry", "non_integer_entry",
-        "non_integer_header"])
+        "non_integer_header", "row_past_end", "negative_row",
+        "negative_col"])
 def test_matrix_file_malformed(tmp_path, text, where, expected):
     path = tmp_path / "m.txt"
     path.write_text(text)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(MalformedFileError) as err:
         EchelonMatrix.from_file(path)
     assert str(err.value) == f"{path}:{where}: {expected}"
+
+
+def test_matrix_file_last_row_and_column_load(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 3 2\n0 0\n1 2\n")
+    want = EchelonMatrix(2, 3, ((0, 0), (1, 2)))
+    assert EchelonMatrix.from_file(path) == want
+
+
+def random_matrix(rng: random.Random) -> EchelonMatrix:
+    """A GF(2) matrix of 1 to 40 rows and columns whose rows are zero,
+    copies or xor sums of earlier rows, or random; a row's entries may
+    repeat a position, which cancels it."""
+    n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            row = [] if kind < 0.1 else [rng.randrange(n_cols)]
+        elif kind < 0.25:
+            row = list(rng.choice(rows))
+        elif kind < 0.5:
+            row = [c for r in rng.sample(rows, rng.randint(1, len(rows)))
+                   for c in r]
+        else:
+            row = [rng.randrange(n_cols)
+                   for _ in range(rng.randint(1, 2 * n_cols))]
+        rows.append(row)
+    entries = [(r, c) for r, row in enumerate(rows) for c in row]
+    rng.shuffle(entries)
+    return EchelonMatrix(n_rows, n_cols, tuple(entries))
+
+
+def test_gf2_rank_matches_reference_random():
+    rng = random.Random(14)
+    deficient = 0
+    for _ in range(400):
+        m = random_matrix(rng)
+        rank = gf2_rank(m)
+        assert rank == reference_gf2_rank(m)
+        deficient += rank < min(m.n_rows, m.n_cols)
+    assert deficient >= 100
+
+
+def echelon_trees(n):
+    g = make_grid(n)
+    return g, [build_tree(n), comb_tree(g), spiral_tree(g),
+               random_spanning_tree(g, n)]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_gf2_rank_matches_reference_echelon(n):
+    g, trees = echelon_trees(n)
+    for t in trees[1:]:
+        m = echelon_representation(g, t)
+        assert gf2_rank(m) == reference_gf2_rank(m) == n * n - 1
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_echelon_matches_reference(n):
+    g, trees = echelon_trees(n)
+    for t in trees:
+        assert echelon_representation(g, t) == reference_echelon(g, t)

@@ -190,6 +190,22 @@ def test_wilson_draw_matches_choice():
             assert a.getstate() == b.getstate()
 
 
+def test_shuffle_matches_random_shuffle():
+    """``_shuffle`` draws swap partners as CPython's ``Random.shuffle``
+    does, so local search keeps its chord orders and its random stream.
+    A Python whose ``shuffle`` consumes the stream otherwise fails here."""
+    cases = [(length, length) for length in range(1101)]
+    cases += [(length, seed) for seed in range(2000, 2300)
+              for length in range(18)]
+    for length, seed in cases:
+        a, b = random.Random(seed), random.Random(seed)
+        want, got = list(range(length)), list(range(length))
+        a.shuffle(want)
+        search._shuffle(got, b.getrandbits)
+        assert got == want
+        assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20])
 def test_wilson_matches_choice_reference(n):
     g = make_grid(n)
@@ -314,6 +330,15 @@ def test_local_search_budget_ending_at_last_cycle_end():
     assert res.budget_exhausted and not res.local_optimum
 
 
+def test_local_search_matches_reference_from_spiral():
+    g = make_grid(6)
+    t0 = spiral_tree(g)
+    budget = SearchBudget(max_trees=UNLIMITED, max_seconds=1e9, seed=3)
+    res = local_search(g, t0, budget)
+    assert outcome(res) == outcome(reference_local_search(g, t0, budget))
+    assert res.local_optimum and res.L < t0.total_length().L_total
+
+
 def test_local_search_time_budget_checked_before_first_chord():
     g = make_grid(8)
     res = local_search(g, comb_tree(g), SearchBudget(max_trees=UNLIMITED,
@@ -335,8 +360,10 @@ def test_swap_deltas_match_explicit_walks(n):
     def explicit_total(t):
         return sum(explicit_cycle_length(t, int(c)) for c in t.chord_ids())
 
-    for seed in (0, 1):
-        t = random_spanning_tree(g, seed)
+    # Two uniform trees, then the deepest trees: the spiral path (depth
+    # n^2 - 1) and the comb, whose cycles run down and up whole columns.
+    for t in (random_spanning_tree(g, 0), random_spanning_tree(g, 1),
+              spiral_tree(g), comb_tree(g)):
         cur_L = explicit_total(t)
         chords = t.chord_ids().tolist()
         for e in chords[::max(1, len(chords) // 4)]:
