@@ -86,7 +86,8 @@ class DegeneratePointError(GridCycleError, ValueError):
 
 
 class TooLargeError(GridCycleError, ValueError):
-    """Exhaustive enumeration was requested beyond the supported size."""
+    """A size beyond what the package supports was requested: exhaustive
+    enumeration past its limit, or a grid side past ``grid.MAX_SIDE``."""
 
 
 class EmptyMatroidError(GridCycleError, ValueError):

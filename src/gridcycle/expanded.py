@@ -116,12 +116,13 @@ class ExpandedGrid:
         return ("d", idx - nv)
 
     def node_positions(self):
-        """(xs, ys) arrays over all node indices; duplicates at their bases."""
+        """int32 (xs, ys) arrays over all node indices; duplicates at their
+        bases."""
         n = self.host.n
         nv = self.host.num_vertices
-        xs = np.empty(self.num_nodes, dtype=np.int64)
-        ys = np.empty(self.num_nodes, dtype=np.int64)
-        idx = np.arange(nv)
+        xs = np.empty(self.num_nodes, dtype=np.int32)
+        ys = np.empty(self.num_nodes, dtype=np.int32)
+        idx = np.arange(nv, dtype=np.int32)
         xs[:nv] = idx % n + 1
         ys[:nv] = idx // n + 1
         for k, d in enumerate(self.duplicates):
@@ -476,27 +477,6 @@ def _block_is_planar(edges) -> bool:
         placed.update(frozenset(e) for e in zip(path, path[1:]))
 
 
-def _bridge_path(adj, att, comp) -> list:
-    """A path through the component ``comp`` of a bridge between two
-    distinct attachments in ``att``, as a vertex list with the attachments
-    at its ends: a breadth-first search from one attachment into the
-    component, stopped at a vertex next to another attachment."""
-    inside = set(comp)
-    a = next(iter(att))
-    start = next(w for w in adj[a] if w in inside)
-    prev = {start: a}
-    queue = [start]
-    for v in queue:
-        for w in adj[v]:
-            if w in att and w != a:
-                path = [w, v]
-                while path[-1] != a:
-                    path.append(prev[path[-1]])
-                return path
-            if w in inside and w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise AssertionError("a bridge of a biconnected graph has two attachments")
 def _bridge_path(adj, on, comp) -> list:
     """A path through the component ``comp`` of a bridge between two
     distinct attachments, as a vertex list with the attachments at its
@@ -590,14 +570,14 @@ class XSpanningTree:
         self._ranges = None
 
     def _edge_endpoints(self, hids):
-        """Node indices (ua, ub) of the tree edges: the host edges ``hids``,
-        then the extra edges in ``xedge_indices`` order."""
+        """int32 node indices (ua, ub) of the tree edges: the host edges
+        ``hids``, then the extra edges in ``xedge_indices`` order."""
         grid = self.grid
         ua, ub = grid.host.edge_endpoint_indices(hids)
         xa = [grid.ref_index(grid.xedges[i][0]) for i in self.xedge_indices]
         xb = [grid.ref_index(grid.xedges[i][1]) for i in self.xedge_indices]
-        return (np.concatenate([ua, np.asarray(xa, dtype=np.int64)]),
-                np.concatenate([ub, np.asarray(xb, dtype=np.int64)]))
+        return (np.concatenate([ua, np.asarray(xa, dtype=np.int32)]),
+                np.concatenate([ub, np.asarray(xb, dtype=np.int32)]))
 
     @staticmethod
     def from_host_tree(t: SpanningTree, grid: ExpandedGrid | None = None
@@ -705,7 +685,8 @@ class _TreeRanges(NamedTuple):
     Node v's subtree is the preorder range ``[pre[v], pre[v] + size[v])``
     (the Euler-tour technique of Tarjan and Vishkin).  ``edge[v]`` codes
     v's parent edge: a host edge id, or ``num_edges`` plus an extra-edge
-    index; -1 at the root.  ``edge_length`` is that edge's length.
+    index; -1 at the root.  ``edge_length`` is that edge's length.  The
+    arrays are int32, except ``edge``, which holds edge ids and is int64.
     """
 
     order: np.ndarray
@@ -730,28 +711,29 @@ class _TreeRanges(NamedTuple):
         nn = grid.num_nodes
         par, depth = t.parent_idx, t.depth_arr
         root = grid.ref_index(t.root_ref)
-        idx = np.arange(nn)
-        pre = np.empty(nn, dtype=np.int64)
+        idx = np.arange(nn, dtype=np.int32)
+        pre = np.empty(nn, dtype=np.int32)
         order = _preorder(par, root)
         pre[order] = idx
         # The preorder of the tree relabelled v -> nn-1-v visits every
         # node's children in reverse, so reversed it is the postorder.
         flip = _preorder(nn - 1 - par[::-1], nn - 1 - root)
-        post = np.empty(nn, dtype=np.int64)
+        post = np.empty(nn, dtype=np.int32)
         post[nn - 1 - flip[::-1]] = idx
         size = post - pre + depth + 1
+        del idx, flip, post
 
         hids = np.nonzero(t.host_edge_mask)[0]
         ua, ub = t._edge_endpoints(hids)
         code = np.concatenate([hids, grid.host.num_edges
                                + np.asarray(t.xedge_indices, dtype=np.int64)])
-        length = np.concatenate([np.ones(len(hids), dtype=np.int64),
+        length = np.concatenate([np.ones(len(hids), dtype=np.int32),
                                  np.asarray([grid.xedge_lengths[i]
                                              for i in t.xedge_indices],
-                                            dtype=np.int64)])
+                                            dtype=np.int32)])
         child = np.where(par[ub] == ua, ub, ua)
         edge = np.full(nn, -1, dtype=np.int64)
-        edge_length = np.zeros(nn, dtype=np.int64)
+        edge_length = np.zeros(nn, dtype=np.int32)
         edge[child] = code
         edge_length[child] = length
         return _TreeRanges(order, pre, size, edge, edge_length)

@@ -20,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSizeError, LayerError, OutOfRangeError, TilingError
+from .errors import (InvalidSizeError, LayerError, OutOfRangeError,
+                     TilingError, TooLargeError)
 
 Coord = tuple[int, int]
+
+# The largest side whose vertex indices 0..n^2-1 fit in int32, the dtype of
+# every vertex-indexed array of the package.
+MAX_SIDE = 46340
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -68,6 +73,9 @@ class GridGraph:
     def __init__(self, n: int):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InvalidSizeError(f"grid side must be a positive integer, got {n!r}")
+        if n > MAX_SIDE:
+            raise TooLargeError(f"grid side {n} exceeds {MAX_SIDE}: its vertex "
+                                "indices would not fit in int32")
         self.n = int(n)
 
     def __repr__(self):
@@ -145,21 +153,20 @@ class GridGraph:
         return [self.edge(i) for i in range(self.num_edges)]
 
     def edge_endpoint_indices(self, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized edge id -> (vertex index of a, vertex index of b)."""
+        """Vectorized edge id -> int32 (vertex index of a, vertex index of b).
+
+        Horizontal edge (y-1)(n-1) + (x-1) starts at vertex (y-1)n + (x-1),
+        its id plus its row; vertical edge n(n-1) + k starts at vertex k."""
         eids = np.asarray(eids, dtype=np.int64)
         n = self.n
         nh = n * (n - 1)
         horiz = eids < nh
-        ua = np.empty(eids.shape, dtype=np.int64)
-        ub = np.empty(eids.shape, dtype=np.int64)
+        ua = np.empty(eids.shape, dtype=np.int32)
         he = eids[horiz]
-        y, x = np.divmod(he, n - 1) if n > 1 else (he, he)
-        ua[horiz] = y * n + x
-        ub[horiz] = y * n + x + 1
-        ve = eids[~horiz] - nh
-        y, x = np.divmod(ve, n)
-        ua[~horiz] = y * n + x
-        ub[~horiz] = (y + 1) * n + x
+        ua[horiz] = he + he // max(n - 1, 1)
+        ua[~horiz] = eids[~horiz] - nh
+        ub = ua + 1
+        ub[~horiz] += n - 1
         return ua, ub
 
     def edge_ids(self, ua, ub) -> np.ndarray:

@@ -7,6 +7,13 @@ walk (:func:`tree_path`) traces their paths; one lifting climb
 Sums along root paths, such as weighted depths and flag counts, come from
 the preorder layout of expanded-grid trees instead (``expanded._TreeRanges``).
 
+Every vertex-indexed array of the core is int32: parents, depths, visit
+orders, coordinates, face ids and every lifted table, which is why
+:class:`~gridcycle.grid.GridGraph` stops at side ``grid.MAX_SIDE``.  Edge
+ids stay int64 (2n(n-1) passes 2^31 at n = 32769), and so do the per-chord
+lengths and perimeters of :class:`CycleStats`, whose depth sums are formed
+in int64.
+
 A :class:`SpanningTree` stores parent/depth arrays over the host grid's
 vertex indexing plus binary-lifting ancestor tables, so the length of any
 chord's fundamental cycle is an O(log n) query and the full statistics
@@ -56,18 +63,23 @@ class AncestorTables:
     maxima that bound path boxes, folded from lifted tables built on first
     use.  All query methods are vectorized.  The node coordinates
     ``xs``/``ys`` are needed only by :meth:`path_boxes`.
+
+    Every table is int32.  Fancy indexing by an index array of any dtype
+    but intp (int64) casts it on every gather, at a cost above the gather's
+    own on small trees, so the tables are built with ``take`` and the nodes
+    being climbed are held as intp arrays.
     """
 
     def __init__(self, parent, depth, xs=None, ys=None):
-        self.parent = np.asarray(parent, dtype=np.int64)
-        self.depth = np.asarray(depth, dtype=np.int64)
-        self.xs = None if xs is None else np.asarray(xs, dtype=np.int64)
-        self.ys = None if ys is None else np.asarray(ys, dtype=np.int64)
+        self.parent = np.asarray(parent, dtype=np.int32)
+        self.depth = np.asarray(depth, dtype=np.int32)
+        self.xs = None if xs is None else np.asarray(xs, dtype=np.int32)
+        self.ys = None if ys is None else np.asarray(ys, dtype=np.int32)
         maxd = int(self.depth.max(initial=0))
         self.levels = max(1, maxd.bit_length())
         up = [self.parent]
         for _ in range(1, self.levels):
-            up.append(up[-1][up[-1]])
+            up.append(up[-1].take(up[-1]))
         self.up = up
         self._lifted = {}
 
@@ -76,8 +88,8 @@ class AncestorTables:
     def _climb(self, u, d, tables=(), acc=()):
         """p^d(u), elementwise.  On the way, every acc[i] is folded with
         tables[i]'s values over the half-open node run u, ..., p^(d-1)(u)."""
-        u = np.array(u, dtype=np.int64, copy=True)
-        d = np.asarray(d, dtype=np.int64)
+        u = np.array(u, dtype=np.intp, copy=True)
+        d = np.asarray(d, dtype=np.int32)
         for k in range(self.levels):
             mask = ((d >> k) & 1).astype(bool)
             if mask.any():
@@ -92,8 +104,6 @@ class AncestorTables:
         return self._climb(u, d)
 
     def lca(self, u, v):
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
         du, dv = self.depth[u], self.depth[v]
         u = self.ancestor(u, np.maximum(du - dv, 0))
         v = self.ancestor(v, np.maximum(dv - du, 0))
@@ -109,11 +119,15 @@ class AncestorTables:
         return self.distances(u, v) + 1
 
     def distances(self, u, v):
-        """Number of tree edges on the paths u..v, elementwise."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = self.lca(u, v)
-        return self.depth[u] + self.depth[v] - 2 * self.depth[w]
+        """Number of tree edges on the paths u..v, elementwise, as int64:
+        the depth sums are formed in int64, since int32 depths of a deep
+        tree can overflow in them."""
+        dw = self.depth[self.lca(u, v)]
+        out = self.depth[u].astype(np.int64)
+        out += self.depth[v]
+        out -= dw
+        out -= dw
+        return out
 
     # -- path folds --------------------------------------------------------
 
@@ -123,15 +137,13 @@ class AncestorTables:
         if key not in self._lifted:
             tab = [np.asarray(values)]
             for k in range(1, self.levels):
-                tab.append(op(tab[-1], tab[-1][self.up[k - 1]]))
+                tab.append(op(tab[-1], tab[-1].take(self.up[k - 1])))
             self._lifted[key] = tab
         return op, self._lifted[key]
 
     def _fold(self, u, v, tables):
         """Every (op, table) folded over the tree paths u..v: the LCA's
         value, then one climb from each end to just below the LCA."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
         w = self.lca(u, v)
         dw = self.depth[w]
         acc = [np.array(tab[0][w]) for _, tab in tables]
@@ -259,6 +271,7 @@ class SpanningTree:
         mask = np.zeros(ne, dtype=bool)
         mask[ids] = True
         ua, ub = g.edge_endpoint_indices(ids)
+        del ids
         parent_idx, depth_arr, _, _ = _bfs(nv, ua, ub, g.vertex_index(root))
         visited = depth_arr >= 0
         if not visited.all():
@@ -269,6 +282,7 @@ class SpanningTree:
                                             "edge set contains a cycle")
             raise NotASpanningTreeError("disconnected",
                                         "edge set does not connect all vertices")
+        del ua, ub, visited
         return SpanningTree(g, root, parent_idx, depth_arr, mask)
 
     # -- basic queries -----------------------------------------------------
@@ -326,10 +340,6 @@ class SpanningTree:
         ua, ub = self.host.edge_endpoint_indices(eids)
         return self._tables.cycle_lengths(ua, ub)
 
-    def distances(self, u, v) -> np.ndarray:
-        """Vectorized tree distances between vertex indices u and v."""
-        return self._tables.distances(u, v)
-
     def total_length(self) -> CycleStats:
         """Lengths and bounding-box perimeters of every chord's cycle."""
         g = self.host
@@ -338,6 +348,7 @@ class SpanningTree:
         chords = self.chord_ids()
         ua, ub = g.edge_endpoint_indices(chords)
         lengths = self._tables.cycle_lengths(ua, ub)
+        del ua, ub
         perims = _dual_perimeters(g.n, chords)
         L = int(lengths.sum())
         P = int(perims.sum())
@@ -401,7 +412,7 @@ def _adjacency(rows, cols, nn: int) -> csr_matrix:
     traversals take without a conversion."""
     indptr = np.zeros(nn + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
-    cols = cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    cols = cols[np.argsort(rows, kind="stable")].astype(np.int32, copy=False)
     return csr_matrix((np.ones(len(cols)), cols, indptr), shape=(nn, nn))
 
 
@@ -409,33 +420,57 @@ def _bfs(nv: int, ua, ub, root: int):
     """One unweighted BFS from root over the graph on nodes 0..nv-1 with
     edges {ua[i], ub[i]}.
 
-    Returns the parent and depth arrays (the root and unreached nodes are
-    their own parents; unreached nodes get depth -1), the visit order, and
-    its level bounds: the nodes of depth d are order[ends[d-1]:ends[d]].
+    Returns the int32 parent and depth arrays (the root and unreached nodes
+    are their own parents; unreached nodes get depth -1), the int32 visit
+    order, and its level bounds: the nodes of depth d are
+    order[ends[d-1]:ends[d]].
     """
     adj = _adjacency(np.concatenate([ua, ub]), np.concatenate([ub, ua]), nv)
     order, pred = breadth_first_order(adj, root, directed=True,
                                       return_predecessors=True)
-    order = order.astype(np.int64)
-    parent = np.arange(nv, dtype=np.int64)
+    del adj
+    parent = np.arange(nv, dtype=np.int32)
     parent[order[1:]] = pred[order[1:]]
     # BFS visits nodes in the order of their parents' visits, so parent
     # positions never decrease along the order, and depth d + 1 ends where
-    # the nodes whose parents lie past depth d begin.
-    pos = np.empty(nv, dtype=np.int64)
-    pos[order] = np.arange(len(order))
+    # the nodes whose parents lie past depth d begin.  The searched value
+    # is an int32 scalar: a Python int would cast ``up`` on every call.
+    pos = np.empty(nv, dtype=np.int32)
+    pos[order] = np.arange(len(order), dtype=np.int32)
     up = pos[parent[order[1:]]]
     ends = [1]
     while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(up, ends[-1])))
-    depth = np.full(nv, -1, dtype=np.int64)
-    depth[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        ends.append(1 + int(up.searchsorted(np.int32(ends[-1]))))
+    depth = np.full(nv, -1, dtype=np.int32)
+    depth[order] = np.repeat(np.arange(len(ends), dtype=np.int32),
+                             np.diff(ends, prepend=0))
     return parent, depth, order, ends
 
 
+def _chord_faces(n: int, chords):
+    """The two faces (int32) that each chord of the n-grid (n >= 2)
+    separates, indexed as in :func:`_dual_perimeters`."""
+    m = n - 1
+    outer = m * m
+    chords = np.asarray(chords, dtype=np.int64)
+    horiz = chords < n * m
+    # Horizontal edge (x, y)-(x+1, y) has the id of the face above it;
+    # vertical edge (x, y)-(x, y+1) lies left of face (x, y).
+    h = chords[horiz].astype(np.int32)
+    y, x = np.divmod((chords[~horiz] - n * m).astype(np.int32), n)
+    v = y * m + x
+    fa = np.empty(len(chords), dtype=np.int32)
+    fb = np.empty(len(chords), dtype=np.int32)
+    fa[horiz] = np.where(h < outer, h, outer)
+    fb[horiz] = np.where(h >= m, h - m, outer)
+    fa[~horiz] = np.where(x < m, v, outer)
+    fb[~horiz] = np.where(x > 0, v - 1, outer)
+    return fa, fb
+
+
 def _dual_perimeters(n: int, chords) -> np.ndarray:
-    """Bounding-box perimeters of the fundamental cycles of a spanning tree
-    of the n-grid (n >= 2), given all of its chord ids.
+    """Bounding-box perimeters (int64) of the fundamental cycles of a
+    spanning tree of the n-grid (n >= 2), given all of its chord ids.
 
     The faces are the (n-1)^2 unit squares, indexed like vertices of the
     (n-1)-grid by their lower-left corner, plus the outer face (n-1)^2.
@@ -443,26 +478,19 @@ def _dual_perimeters(n: int, chords) -> np.ndarray:
     spanning tree; rooted at the outer face, chord e's cycle is the
     boundary of the faces in the subtree of e's face farther from the
     root, so its box is that subtree's box.  Subtree boxes are folded into
-    parents one depth level at a time, deepest first.
+    parents one depth level at a time, deepest first.  Face ids and boxes
+    are int32.
     """
     m = n - 1
     outer = m * m
-    chords = np.asarray(chords, dtype=np.int64)
-    horiz = chords < n * m
-    # Horizontal edge (x, y)-(x+1, y) has the id of the face above it;
-    # vertical edge (x, y)-(x, y+1) lies left of face (x, y).
-    h = chords[horiz]
-    y, x = np.divmod(chords[~horiz] - n * m, n)
-    v = y * m + x
-    fa = np.empty_like(chords)
-    fb = np.empty_like(chords)
-    fa[horiz] = np.where(h < outer, h, outer)
-    fb[horiz] = np.where(h >= m, h - m, outer)
-    fa[~horiz] = np.where(x < m, v, outer)
-    fb[~horiz] = np.where(x > 0, v - 1, outer)
-
+    fa, fb = _chord_faces(n, chords)
     parent, depth, order, ends = _bfs(outer + 1, fa, fb, outer)
-    face = np.arange(outer + 1, dtype=np.int64)
+    child = np.where(depth[fa] > depth[fb], fa, fb)
+    del fa, fb, depth
+    # Fancy indexing and ufunc.at take intp indices as they are, but
+    # convert int32 ones on every call of the per-level loop.
+    parent, order = parent.astype(np.intp), order.astype(np.intp)
+    face = np.arange(outer + 1, dtype=np.int32)
     xmin = face % m + 1
     ymin = face // m + 1
     xmax = xmin + 1
@@ -474,8 +502,9 @@ def _dual_perimeters(n: int, chords) -> np.ndarray:
         np.maximum.at(xmax, up, xmax[kids])
         np.minimum.at(ymin, up, ymin[kids])
         np.maximum.at(ymax, up, ymax[kids])
-    child = np.where(depth[fa] > depth[fb], fa, fb)
-    return 2 * (xmax[child] - xmin[child]) + 2 * (ymax[child] - ymin[child])
+    del parent, order
+    half = (xmax - xmin) + (ymax - ymin)
+    return 2 * half[child].astype(np.int64)
 
 
 def tree_path(parent, depth, a: int, b: int) -> list[int]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gridcycle import construction
 from gridcycle.cli import main
 from gridcycle.tree import SpanningTree
 
@@ -33,6 +34,18 @@ def test_build_n1(capsys):
 def test_build_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "build", "--n", "0")
     assert code == 1
+
+
+def test_build_refuses_side_past_int32(capsys, monkeypatch):
+    # The side is checked before any O(n^2) array is built.
+    def no_edges(n):
+        raise AssertionError("edge ids built for an unsupported side")
+
+    monkeypatch.setattr(construction, "_edge_ids", no_edges)
+    code, out, err = run_cli(capsys, "build", "--n", "46341")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "46341" in err
 
 
 def test_build_writes_tree_file(tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gridcycle.errors import (InvalidSizeError, LayerError, OutOfRangeError,
-                              TilingError)
-from gridcycle.grid import make_grid
+                              TilingError, TooLargeError)
+from gridcycle.grid import GridGraph, make_grid
 
 
 @pytest.mark.parametrize("n,vertices,edges", [(3, 9, 12), (1, 1, 0), (5, 25, 40)])
@@ -18,6 +18,14 @@ def test_make_grid_counts(n, vertices, edges):
 def test_make_grid_rejects_bad_sizes(bad):
     with pytest.raises(InvalidSizeError):
         make_grid(bad)
+
+
+def test_grid_side_limit():
+    # Vertex indices are int32: n^2 - 1 <= 2^31 - 1 exactly up to n = 46340.
+    assert GridGraph(46340).num_vertices - 1 <= np.iinfo(np.int32).max
+    assert 46341 ** 2 - 1 > np.iinfo(np.int32).max
+    with pytest.raises(TooLargeError):
+        GridGraph(46341)
 
 
 def test_peripheral():

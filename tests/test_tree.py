@@ -1,20 +1,22 @@
 import csv
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_tree, explicit_cycle_length, rows_plus_column_tree
+from conftest import (comb_tree, explicit_cycle_length, rows_plus_column_tree,
+                      spiral_tree)
 from gridcycle import tree as tree_module
-from gridcycle.construction import build_tree
+from gridcycle.construction import _edge_ids, build_tree
 from gridcycle.errors import (EmptyCycleError, GridCycleError,
                               MalformedFileError, NoChordsError,
                               NotAChordError, NotASpanningTreeError,
                               UnknownEdgeError)
-from gridcycle.expanded import ExpandedGrid
+from gridcycle.expanded import ExpandedGrid, XSpanningTree, xperimeter
 from gridcycle.matroid import EchelonMatrix
 from gridcycle.grid import make_grid
 from gridcycle.search import enumerate_spanning_trees, random_spanning_tree
@@ -337,3 +339,67 @@ def test_dual_perimeters_match_lifted_boxes(make):
     assert np.array_equal(stats.perimeters, lifted.path_perimeters(ua, ub))
     # Host trees take their boxes from the dual tree alone.
     assert not t._tables._lifted
+
+
+# -- the int32 tree core --------------------------------------------------------
+
+def test_tree_core_dtypes():
+    # Vertex indices, depths and coordinates are int32; edge ids and the
+    # per-chord statistics are int64.
+    t = build_tree(16)
+    g = t.host
+    i32, i64 = np.dtype(np.int32), np.dtype(np.int64)
+    tab = t._tables
+    assert {a.dtype for a in (t.parent_idx, t.depth_arr, tab.parent,
+                              tab.depth, *tab.up)} == {i32}
+    stats = t.total_length()
+    assert {a.dtype for a in (stats.edge_ids, stats.lengths,
+                              stats.perimeters)} == {i64}
+    ua, ub = g.edge_endpoint_indices(stats.edge_ids)
+    assert {ua.dtype, ub.dtype} == {i32}
+    xt = XSpanningTree.from_host_tree(t)
+    xt.tables.path_perimeters(ua, ub)
+    assert set(xt.tables._lifted) == {"xmin", "xmax", "ymin", "ymax"}
+    assert {a.dtype for tabs in xt.tables._lifted.values()
+            for a in tabs} == {i32}
+    assert {a.dtype for a in xt.grid.node_positions()} == {i32}
+    r = xt._preorder_ranges()
+    assert {a.dtype for a in (r.order, r.pre, r.size,
+                              r.edge_length)} == {i32}
+    assert r.edge.dtype == i64
+
+
+def test_tree_core_peak_memory_per_vertex():
+    # from_edges + total_length on T_256 under tracemalloc: about 110 bytes
+    # per vertex with int32 vertex arrays, about 245 with int64 ones.
+    n = 256
+    g = make_grid(n)
+    ids = _edge_ids(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        SpanningTree.from_edges(g, ids, (n, 1)).total_length()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / g.num_vertices <= 150
+
+
+def test_spiral_deeper_than_int16():
+    # The spiral of the 182-grid has depth 182^2 - 1 = 33123 > 2^15 - 1.
+    g = make_grid(182)
+    t = spiral_tree(g)
+    assert t.max_depth() == 182 * 182 - 1
+    stats = t.total_length()
+    pick = np.random.default_rng(182).choice(stats.count, 50, replace=False)
+    eids = stats.edge_ids[pick]
+    assert np.array_equal(t.cycle_lengths(eids), stats.lengths[pick])
+    xt = XSpanningTree.from_host_tree(t)
+    ua, ub = g.edge_endpoint_indices(eids)
+    lifted = xt.tables.path_perimeters(ua, ub)
+    for j, e in enumerate(eids.tolist()):
+        assert stats.lengths[pick[j]] == explicit_cycle_length(t, e)
+        assert (stats.perimeters[pick[j]]
+                == cycle_box(t.fundamental_cycle(e)).perimeter)
+        path = xt.path_refs(g.vertex_at(int(ua[j])), g.vertex_at(int(ub[j])))
+        assert lifted[j] == xperimeter(xt.grid, path)
