@@ -53,7 +53,8 @@ from .errors import (
 )
 from .grid import Coord, GridGraph, SubgridRef
 from .tree import (AncestorTables, SpanningTree, _adjacency, _bfs,
-                   malformed_line, missing_line, record_ints, tree_path)
+                   _dual_perimeters, malformed_line, missing_line,
+                   record_ints, tree_path)
 
 
 @dataclass(frozen=True)
@@ -628,7 +629,10 @@ def lstar(t: XSpanningTree, h: ExpandedGrid | None = None) -> int:
     """Sum of fundamental-cycle perimeters over the host chords of t.
 
     Perimeters bound the host coordinates and duplicate bases on each cycle;
-    chords among the extra edges are excluded.
+    chords among the extra edges are excluded.  On a plain grid (no
+    duplicates, no extra edges) t is a host spanning tree, and the boxes
+    come from its dual tree; otherwise they are folded through the lifted
+    box tables.
     """
     if h is not None and h is not t.grid:
         raise GridCycleError("tree does not belong to the given expanded grid")
@@ -636,6 +640,8 @@ def lstar(t: XSpanningTree, h: ExpandedGrid | None = None) -> int:
     chords = t.host_chord_ids()
     if len(chords) == 0:
         return 0
+    if not grid.duplicates and not grid.xedges:
+        return int(_dual_perimeters(grid.host.n, chords).sum())
     ua, ub = grid.host.edge_endpoint_indices(chords)
     return int(t.tables.path_perimeters(ua, ub).sum())
 

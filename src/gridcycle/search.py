@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import CounterexampleError, NotAChordError, TooLargeError
 from .grid import GridGraph
-from .tree import SpanningTree
+from .tree import SpanningTree, _adjacency
 
 ENUMERATION_LIMIT = 4
 
@@ -331,20 +330,34 @@ def swap_deltas(t: SpanningTree, e: int) -> np.ndarray:
     alone; the removed edge's own cycle is C_e, which cancels e's.  The sums
     over j come from one difference array.  The tree distances d(a, .) and
     d(b, .) to every vertex come from one unweighted two-source
-    ``dijkstra`` over the tree's (vertex, parent) pairs, whose cost does not
-    depend on the tree's depth.
+    ``dijkstra`` over the tree's edges, whose cost does not depend on the
+    tree's depth.
     """
+    return _swap_deltas(_swap_layout(t), e)
+
+
+def _swap_layout(t: SpanningTree):
+    """What :func:`_swap_deltas` reads of a tree: its sorted chord ids,
+    their end vertices (all first ends, then all second ends), and the
+    tree's adjacency with each edge in both directions (the root's
+    self-loop never shortens a path)."""
     chords = t.chord_ids()
+    ends = np.concatenate(t.host.edge_endpoint_indices(chords))
+    parent = t.parent_idx
+    v = np.arange(len(parent), dtype=np.int32)
+    adj = _adjacency(np.concatenate([v, parent]),
+                     np.concatenate([parent, v]), len(parent))
+    return chords, ends, adj
+
+
+def _swap_deltas(layout, e: int) -> np.ndarray:
+    """:func:`swap_deltas` of chord e, given the tree's :func:`_swap_layout`."""
+    chords, ends, adj = layout
     i = int(np.searchsorted(chords, e))
     if i == len(chords) or chords[i] != e:
         raise NotAChordError(f"edge {e} is not a chord of the tree")
     k = len(chords)
-    ends = np.concatenate(t.host.edge_endpoint_indices(chords))
-    parent = t.parent_idx
-    nv = len(parent)
-    # Row v holds v's parent; the root's self-loop never shortens a path.
-    adj = csr_matrix((np.ones(nv), parent, np.arange(nv + 1)), shape=(nv, nv))
-    d = dijkstra(adj, directed=False, unweighted=True,
+    d = dijkstra(adj, directed=True, unweighted=True,
                  indices=ends[[i, k + i]])[:, ends].astype(np.int64)
     d_a, d_b = d
     m = int(d_a[k + i])
@@ -385,10 +398,10 @@ def local_search(g: GridGraph, t0: SpanningTree,
     fundamental cycle, so the result is always a spanning tree; a move is
     accepted only if the total strictly decreases (first improvement: chord
     order shuffled per seed, f in cycle order).  One :func:`swap_deltas`
-    pass scores every f on a tried chord's cycle; each scored f counts as
-    one evaluation.  An accepted move is rebuilt through
-    :meth:`SpanningTree.from_edges` and its total recomputed over all
-    chords; a total other than the predicted one raises
+    pass scores every f on a tried chord's cycle, from per-tree data built
+    once per tree; each scored f counts as one evaluation.  An accepted
+    move is rebuilt through :meth:`SpanningTree.from_edges` and its total
+    recomputed over all chords; a total other than the predicted one raises
     :class:`CounterexampleError`.  Stops at a local optimum or when the
     budget runs out: the evaluation limit is exact, the time limit is
     checked once per tried chord.
@@ -404,13 +417,14 @@ def local_search(g: GridGraph, t0: SpanningTree,
                                  not exhausted)
 
     while True:
-        chords = current.chord_ids().tolist()
+        layout = _swap_layout(current)
+        chords = layout[0].tolist()
         _shuffle(chords, rng.getrandbits)
         for e in chords:
             room = budget.max_trees - evals
             if room <= 0 or time.monotonic() - t_start >= budget.max_seconds:
                 return result(True)
-            deltas = swap_deltas(current, e)
+            deltas = _swap_deltas(layout, e)
             better = np.flatnonzero(deltas[:room] < 0)
             if len(better):
                 break

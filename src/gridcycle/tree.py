@@ -14,10 +14,14 @@ ids stay int64 (2n(n-1) passes 2^31 at n = 32769), and so do the per-chord
 lengths and perimeters of :class:`CycleStats`, whose depth sums are formed
 in int64.
 
-A :class:`SpanningTree` stores parent/depth arrays over the host grid's
-vertex indexing plus binary-lifting ancestor tables, so the length of any
-chord's fundamental cycle is an O(log n) query and the full statistics
-sweep is vectorized across all chords.  Bounding boxes of the cycles come
+A :class:`SpanningTree` holds parent/depth arrays over the host grid's
+vertex indexing and its tree-edge mask.  Cycle lengths come
+from binary-lifting ancestor tables that exist only while they are read:
+:meth:`SpanningTree.total_length` builds them for its one batched LCA pass
+and drops them, and :meth:`SpanningTree.cycle_lengths` builds them on first
+use and keeps them, so that any later length is an O(log n) query.  Either
+pass takes its chords ``_LCA_CHUNK`` at a time, which bounds the climb's
+temporaries by the chunk, not by the grid.  Bounding boxes of the cycles come
 from the dual tree instead: the chords of a plane spanning tree form a
 spanning tree of the faces, and a chord's cycle encloses exactly the faces
 of its subtree when that tree is rooted at the outer face, so every box is
@@ -53,6 +57,8 @@ from .grid import Coord, Edge, GridGraph
 # Rows formatted as one string by :meth:`CycleStats.to_csv` and
 # :meth:`SpanningTree.to_file`.
 _CSV_CHUNK = 1 << 16
+# Chords per batched LCA climb in :func:`_chord_lengths`.
+_LCA_CHUNK = 1 << 16
 
 
 class AncestorTables:
@@ -229,7 +235,9 @@ class SpanningTree:
     """A rooted spanning tree of an n-grid.
 
     Immutable after construction; all queries are pure, so instances can be
-    shared between threads.
+    shared between threads.  The lifting tables are a cache, built by the
+    first :meth:`cycle_lengths` call: two threads may both build them, and
+    both get equal tables.
     """
 
     def __init__(self, host: GridGraph, root: Coord, parent_idx, depth_arr,
@@ -239,7 +247,14 @@ class SpanningTree:
         self.parent_idx = parent_idx
         self.depth_arr = depth_arr
         self.tree_edge_mask = tree_edge_mask
-        self._tables = AncestorTables(parent_idx, depth_arr)
+        self._lifting = None
+
+    @property
+    def _tables(self) -> AncestorTables:
+        """The tree's lifting tables, built on first use and kept."""
+        if self._lifting is None:
+            self._lifting = AncestorTables(self.parent_idx, self.depth_arr)
+        return self._lifting
 
     # -- construction ------------------------------------------------------
 
@@ -317,9 +332,8 @@ class SpanningTree:
         Deliberately does not use the lifting tables, so it serves as an
         independent cross-check of the O(1) length formula.
         """
-        eid = e.id if isinstance(e, Edge) else int(e)
-        if not 0 <= eid < self.host.num_edges:
-            raise UnknownEdgeError(f"edge id {eid} is not a host edge")
+        eid = e.id if isinstance(e, Edge) else e
+        eid = int(_edge_id_array([eid], self.host.num_edges)[0])
         if self.tree_edge_mask[eid]:
             raise NotAChordError(f"edge {eid} is a tree edge, not a chord")
         g = self.host
@@ -333,22 +347,30 @@ class SpanningTree:
         return int(self.cycle_lengths([eid])[0])
 
     def cycle_lengths(self, eids) -> np.ndarray:
-        """Vectorized fundamental-cycle lengths for an array of chord ids."""
-        eids = np.asarray(eids, dtype=np.int64)
-        if len(eids) and self.tree_edge_mask[eids].any():
+        """Vectorized fundamental-cycle lengths for an array of chord ids.
+
+        An id that is not an integer in [0, num_edges) raises
+        :class:`UnknownEdgeError` naming the first such id.
+        """
+        eids = _edge_id_array(eids, self.host.num_edges)
+        if self.tree_edge_mask[eids].any():
             raise NotAChordError("given edges include tree edges")
-        ua, ub = self.host.edge_endpoint_indices(eids)
-        return self._tables.cycle_lengths(ua, ub)
+        return _chord_lengths(self._tables, self.host, eids)
 
     def total_length(self) -> CycleStats:
-        """Lengths and bounding-box perimeters of every chord's cycle."""
+        """Lengths and bounding-box perimeters of every chord's cycle.
+
+        The lengths come first, from lifting tables that are dropped before
+        the dual pass unless :meth:`cycle_lengths` has already cached them.
+        """
         g = self.host
         if g.n < 2:
             raise NoChordsError("the 1-grid has no chords")
         chords = self.chord_ids()
-        ua, ub = g.edge_endpoint_indices(chords)
-        lengths = self._tables.cycle_lengths(ua, ub)
-        del ua, ub
+        tables = self._lifting or AncestorTables(self.parent_idx,
+                                                 self.depth_arr)
+        lengths = _chord_lengths(tables, g, chords)
+        del tables
         perims = _dual_perimeters(g.n, chords)
         L = int(lengths.sum())
         P = int(perims.sum())
@@ -396,6 +418,36 @@ class SpanningTree:
             ids = [record_ints(path, i + 1, lines[i], "<edge-id>")[0]
                    for i in range(at, len(lines)) if lines[i].strip()]
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
+
+
+def _edge_id_array(eids, num_edges: int) -> np.ndarray:
+    """``eids`` as an int64 array, after checking that every id is an
+    integer in [0, num_edges); the first id that is not raises
+    :class:`UnknownEdgeError`."""
+    ids = np.asarray(eids)
+    if ids.dtype.kind in "iu":
+        bad = (ids < 0) | (ids >= num_edges)
+        if bad.any():
+            e = ids.ravel()[bad.ravel().argmax()]
+            raise UnknownEdgeError(f"edge id {e} is not a host edge")
+        return ids.astype(np.int64, copy=False)
+    for e in np.asarray(eids, dtype=object).ravel():
+        if not isinstance(e, (int, np.integer)) or isinstance(e, bool):
+            raise UnknownEdgeError(f"edge id {e!r} is not an integer")
+        if not 0 <= e < num_edges:
+            raise UnknownEdgeError(f"edge id {e} is not a host edge")
+    return ids.astype(np.int64)
+
+
+def _chord_lengths(tables: AncestorTables, g: GridGraph,
+                   chords) -> np.ndarray:
+    """Fundamental-cycle lengths (int64) of the chords of the tree that
+    ``tables`` lift, ``_LCA_CHUNK`` chords per LCA climb."""
+    out = np.empty(len(chords), dtype=np.int64)
+    for i in range(0, len(chords), _LCA_CHUNK):
+        ua, ub = g.edge_endpoint_indices(chords[i:i + _LCA_CHUNK])
+        out[i:i + _LCA_CHUNK] = tables.cycle_lengths(ua, ub)
+    return out
 
 
 def _write_chunks(fh, fmt: str, *columns) -> None:

@@ -584,6 +584,31 @@ def test_lstar_equals_dual_perimeter_sum_uniform(n):
         assert lstar(XSpanningTree.from_host_tree(t)) == t.total_length().P_total
 
 
+@pytest.mark.parametrize("n", [5, 6, 13, 25, 40])
+def test_lstar_plain_grid_skips_lifted_tables(n):
+    # On a plain grid lstar takes the dual tree's boxes and builds no lifted
+    # box table; the lifted fold stays the reference it must equal.
+    g = make_grid(n)
+    for seed in range(2):
+        xt = XSpanningTree.from_host_tree(random_spanning_tree(g, 900 + seed))
+        value = lstar(xt)
+        assert not xt.tables._lifted
+        chords = xt.host_chord_ids()
+        assert value == int(host_chord_perimeters(xt, xt.grid, chords).sum())
+
+
+def test_lstar_expanded_grid_folds_lifted_tables():
+    g = make_grid(25)
+    h = plain(g)
+    t = XSpanningTree.from_host_tree(random_spanning_tree(g, 801), h)
+    og, ot = contract(h, t, SubgridRef(6, 10, 6, 10))
+    assert og.duplicates or og.xedges
+    assert not ot.tables._lifted
+    value = lstar(ot)
+    assert set(ot.tables._lifted) == {"xmin", "xmax", "ymin", "ymax"}
+    chords = ot.host_chord_ids()
+    assert value == int(host_chord_perimeters(ot, og, chords).sum())
+
 
 # -- lifted path folds against explicit walks ---------------------------------
 

@@ -384,9 +384,9 @@ def test_swap_deltas_rejects_tree_edge():
 
 
 def test_local_search_wrong_delta_is_a_counterexample(monkeypatch, capsys):
-    real = search.swap_deltas
-    monkeypatch.setattr(search, "swap_deltas",
-                        lambda t, e: real(t, e) - 1000)
+    real = search._swap_deltas
+    monkeypatch.setattr(search, "_swap_deltas",
+                        lambda layout, e: real(layout, e) - 1000)
     g = make_grid(5)
     with pytest.raises(CounterexampleError, match="predicted"):
         local_search(g, comb_tree(g), SearchBudget(seed=1))

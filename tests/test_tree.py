@@ -403,3 +403,86 @@ def test_spiral_deeper_than_int16():
                 == cycle_box(t.fundamental_cycle(e)).perimeter)
         path = xt.path_refs(g.vertex_at(int(ua[j])), g.vertex_at(int(ub[j])))
         assert lifted[j] == xperimeter(xt.grid, path)
+
+
+# -- lifting tables only while a length pass reads them ---------------------------
+
+def test_lifting_tables_built_only_for_length_passes():
+    t = build_tree(32)
+    assert t._lifting is None
+    stats = t.total_length()
+    assert t._lifting is None
+    lengths = t.cycle_lengths(stats.edge_ids)
+    assert np.array_equal(lengths, stats.lengths)
+    cached = t._lifting
+    assert cached is not None and t._tables is cached
+    assert t.cycle_length(int(stats.edge_ids[0])) == stats.lengths[0]
+    again = t.total_length()
+    assert np.array_equal(again.lengths, stats.lengths)
+    assert t._lifting is cached
+    back = SpanningTree.from_edges(t.host, t.tree_edge_ids(), t.root)
+    assert back._lifting is None
+
+
+@pytest.mark.parametrize("make", [lambda: spiral_tree(make_grid(9)),
+                                  lambda: comb_tree(make_grid(10)),
+                                  lambda: random_spanning_tree(make_grid(11),
+                                                               3)],
+                         ids=["spiral_9", "comb_10", "uniform_11"])
+def test_chunked_length_pass_matches_explicit_walks(monkeypatch, make):
+    # Seven chords per LCA climb: many full chunks and a partial last one.
+    monkeypatch.setattr(tree_module, "_LCA_CHUNK", 7)
+    t = make()
+    chords = t.chord_ids()
+    assert len(chords) % 7
+    stats = t.total_length()
+    assert np.array_equal(stats.edge_ids, chords)
+    for eid, length, perim in stats.records():
+        cycle = t.fundamental_cycle(eid)
+        assert length == explicit_cycle_length(t, eid)
+        assert perim == cycle_box(cycle).perimeter
+    assert np.array_equal(t.cycle_lengths(chords), stats.lengths)
+    assert np.array_equal(t.cycle_lengths(chords[::-3]),
+                          stats.lengths[::-3])
+
+
+def test_chord_id_checks():
+    t = build_tree(4)
+    assert t.host.num_edges == 24
+    for bad, named in (([-1], "-1"), ([24], "24"), ([3, 24, -2], "24"),
+                       (np.array([5, 99], dtype=np.uint64), "99"),
+                       ([4.7], "4.7"), ([3, 4.7], "4.7"), (np.array([4.0]),
+                                                           "4.0"),
+                       ([True], "True"), (["4"], "'4'"), ([3, 2 ** 70],
+                                                          str(2 ** 70))):
+        with pytest.raises(UnknownEdgeError, match=f"edge id {named} "):
+            t.cycle_lengths(bad)
+    for bad in (-1, 24, 4.7):
+        with pytest.raises(UnknownEdgeError):
+            t.cycle_length(bad)
+        with pytest.raises(UnknownEdgeError):
+            t.fundamental_cycle(bad)
+    assert t.cycle_lengths([]).tolist() == []
+    chord = int(t.chord_ids()[0])
+    for same in ([chord], np.array([chord], dtype=np.int32),
+                 np.array([chord], dtype=np.uint8), [np.int64(chord)]):
+        assert t.cycle_lengths(same).tolist() == [t.cycle_length(chord)]
+    with pytest.raises(NotAChordError):
+        t.cycle_lengths([int(t.tree_edge_ids()[0])])
+
+
+def test_length_pass_peak_memory_per_vertex():
+    # from_edges + total_length on T_512 under tracemalloc: about 78 bytes per
+    # vertex with the lifting table built for the LCA pass alone and the pass
+    # in chunks of chords, about 114 with the table kept by every tree.
+    n = 512
+    g = make_grid(n)
+    ids = _edge_ids(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        SpanningTree.from_edges(g, ids, (n, 1)).total_length()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / g.num_vertices <= 90
