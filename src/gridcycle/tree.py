@@ -29,6 +29,14 @@ a subtree min/max over unit squares, in O(n^2) memory.  Boxes of tree paths
 folded through the lifting tables (:meth:`AncestorTables.path_boxes`)
 serve expanded grids, whose faces are not unit squares.
 
+Tree files and cycle-statistics CSVs are written by one integer-row encoder,
+``_write_rows``, which turns whole columns into ASCII through a table of
+four-digit words instead of formatting each integer in Python.
+:meth:`SpanningTree.from_file` parses a file laid out as
+:meth:`SpanningTree.to_file` writes it straight from its bytes, one digit
+position at a time over all lines, and reads any other layout line by line,
+so that every malformed line is still named by its number.
+
 Cycle conventions: an "ordered vertex cycle" is a list of distinct vertices;
 consecutive entries (and the last-to-first pair) are the cycle's edges, so
 the cycle's length equals the list's length.
@@ -54,8 +62,8 @@ from .errors import (
 )
 from .grid import Coord, Edge, GridGraph
 
-# Rows formatted as one string by :meth:`CycleStats.to_csv` and
-# :meth:`SpanningTree.to_file`.
+# Rows encoded per write by :func:`_write_rows`, for :meth:`CycleStats.to_csv`
+# and :meth:`SpanningTree.to_file`.
 _CSV_CHUNK = 1 << 16
 # Chords per batched LCA climb in :func:`_chord_lengths`.
 _LCA_CHUNK = 1 << 16
@@ -225,10 +233,10 @@ class CycleStats:
     def to_csv(self, path) -> None:
         """Header plus one row per chord, in the ``csv`` module's default
         dialect (CRLF line ends)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("edge_id,length,perimeter\r\n")
-            _write_chunks(fh, "%d,%d,%d\r\n", self.edge_ids, self.lengths,
-                          self.perimeters)
+        with open(path, "wb") as fh:
+            fh.write(b"edge_id,length,perimeter\r\n")
+            _write_rows(fh, (b",", b",", b"\r\n"), self.edge_ids,
+                        self.lengths, self.perimeters)
 
 
 class SpanningTree:
@@ -262,21 +270,25 @@ class SpanningTree:
     def from_edges(g: GridGraph, edge_ids, root: Coord) -> "SpanningTree":
         """Validate an edge-id set and build the rooted tree.
 
-        Raises :class:`NotASpanningTreeError` with cause ``cardinality``,
-        ``cyclic`` or ``disconnected``.
+        An id that is not an integer raises :class:`UnknownEdgeError`
+        naming the first such id.  Then duplicate ids raise
+        :class:`NotASpanningTreeError` with cause ``cardinality``, an id
+        outside [0, num_edges) raises :class:`UnknownEdgeError` naming the
+        smallest one, and an edge set that is not a spanning tree raises
+        :class:`NotASpanningTreeError` with cause ``cardinality``, ``cyclic``
+        or ``disconnected``.
         """
         g.check_vertex(root)
-        if isinstance(edge_ids, (Sequence, np.ndarray)):
-            ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
-        else:
-            ids = np.sort(np.fromiter(edge_ids, dtype=np.int64))
+        if not isinstance(edge_ids, (Sequence, np.ndarray)):
+            edge_ids = list(edge_ids)
+        ne = g.num_edges
+        ids = np.asarray(edge_ids)
+        if ids.dtype.kind not in "iu":
+            ids = _edge_id_array(edge_ids, ne)
+        ids = np.sort(ids)
         if (ids[1:] == ids[:-1]).any():
             raise NotASpanningTreeError("cardinality", "duplicate edge ids")
-        ne = g.num_edges
-        bad = (ids < 0) | (ids >= ne)
-        if bad.any():
-            e = int(ids[bad.argmax()])
-            raise UnknownEdgeError(f"edge id {e} is not a host edge")
+        ids = _edge_id_array(ids, ne)
         n = g.n
         nv = n * n
         if len(ids) != nv - 1:
@@ -381,15 +393,31 @@ class SpanningTree:
     # -- file format -------------------------------------------------------
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"n {self.n}\n")
-            fh.write(f"root {self.root[0]} {self.root[1]}\n")
-            _write_chunks(fh, "%d\n", self.tree_edge_ids())
+        """Write ``n <side>``, ``root <x> <y>``, then the tree edge ids in
+        increasing order, one per line, every line ended by ``\\n``."""
+        with open(path, "wb") as fh:
+            fh.write(f"n {self.n}\nroot {self.root[0]} {self.root[1]}\n"
+                     .encode())
+            _write_rows(fh, (b"\n",), self.tree_edge_ids())
 
     @staticmethod
     def from_file(path) -> "SpanningTree":
         """Read a tree file.  A missing or malformed line raises
-        :class:`MalformedFileError` naming the file and the line number."""
+        :class:`MalformedFileError` naming the file and the line number.
+
+        A file laid out as :meth:`to_file` writes it, two header lines and
+        then only lines of ASCII digits, is parsed from its bytes; any other
+        layout is read line by line as text."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        head = data.split(b"\n", 2)
+        if len(head) == 3 and all(map(_plain_line, head[:2])):
+            ids = _digit_lines(head[2])
+            if ids is not None:
+                (n,) = record_ints(path, 1, head[0].decode(), "n <side>")
+                rx, ry = record_ints(path, 2, head[1].decode(),
+                                     "root <x> <y>")
+                return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
         with open(path) as fh:
             lines = fh.read().splitlines()
 
@@ -404,20 +432,55 @@ class SpanningTree:
         at, (n,) = header(0, "n <side>")
         at, (rx, ry) = header(at, "root <x> <y>")
         # Every non-blank line holds at least one token, so as many tokens
-        # as non-blank lines means one token per line.  Any other layout
-        # takes the line-by-line path, which names the first bad line.
+        # as non-blank lines means one token per line.  Any other layout,
+        # or an id past int64, takes the line-by-line path, which names the
+        # first bad line.
         body = lines[at:]
         toks = " ".join(body).split()
         ids = None
         if len(toks) == sum(map(bool, map(str.strip, body))):
             try:
                 ids = np.array(toks, dtype=np.int64)
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
         if ids is None:
             ids = [record_ints(path, i + 1, lines[i], "<edge-id>")[0]
                    for i in range(at, len(lines)) if lines[i].strip()]
         return SpanningTree.from_edges(GridGraph(n), ids, (rx, ry))
+
+
+def _plain_line(line: bytes) -> bool:
+    """Whether ``line`` (with no newline) is non-blank ASCII text that reads
+    as the same single line in text mode."""
+    text = line.decode() if line.isascii() else ""
+    return bool(text.strip()) and text.splitlines() == [text]
+
+
+def _digit_lines(body: bytes):
+    """The int64 values of ``body`` when it is lines of 1 to 18 ASCII digits,
+    each ended by a newline but perhaps the last; None for any other body.
+
+    The values are folded one digit position at a time, counted from the
+    line ends, over every line at once."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    if not len(b):
+        return np.empty(0, dtype=np.int64)
+    ends = np.flatnonzero(b == ord("\n"))
+    if b[-1] != ord("\n"):
+        ends = np.append(ends, len(b))
+    lens = np.diff(ends, prepend=-1) - 1
+    if lens.min() < 1 or lens.max() > 18:
+        return None
+    digits = b - np.uint8(ord("0"))
+    if np.count_nonzero(digits < 10) != lens.sum():
+        return None
+    ids = np.zeros(len(ends), dtype=np.int64)
+    for j in range(1, int(lens.max()) + 1):
+        d = digits[ends - j]
+        if j > lens.min():
+            d[lens < j] = 0
+        ids += d * np.int64(10 ** (j - 1))
+    return ids
 
 
 def _edge_id_array(eids, num_edges: int) -> np.ndarray:
@@ -450,12 +513,62 @@ def _chord_lengths(tables: AncestorTables, g: GridGraph,
     return out
 
 
-def _write_chunks(fh, fmt: str, *columns) -> None:
-    """Write ``fmt`` once per row of the integer arrays ``columns``,
-    formatting ``_CSV_CHUNK`` rows at a time as one string."""
-    for i in range(0, len(columns[0]), _CSV_CHUNK):
-        block = np.column_stack([c[i:i + _CSV_CHUNK] for c in columns])
-        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+def _digit_table() -> np.ndarray:
+    """Four ASCII digit bytes per entry, as uint32 words in memory order:
+    entry k < 10^4 is k with its leading zeros replaced by NUL bytes (all
+    four NUL for k = 0), and entry 10^4 + k is k with leading zeros."""
+    k = np.arange(10_000)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    digits = (k // place % 10 + ord("0")).astype(np.uint8)
+    lead = np.where(k >= place, digits, 0).astype(np.uint8)
+    return np.concatenate([lead, digits]).view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
+_ZERO = np.frombuffer(b"0\0\0\0", dtype=np.uint32)[0]
+
+
+def _write_rows(fh, seps, *columns) -> None:
+    """Write one text row per index of the equal-length integer arrays
+    ``columns`` to the binary file ``fh``: every value in decimal, each
+    followed by its column's separator in ``seps`` (1 to 4 non-NUL bytes).
+
+    ``_CSV_CHUNK`` rows at a time become a uint32 matrix of four-byte words:
+    a value's base-10^4 groups, most significant first, are looked up in
+    ``_DIGITS`` (the NUL-padded half for a value's leading group and the
+    empty groups above it), and a separator is one NUL-padded word.  Dropping
+    every NUL byte of the matrix leaves the chunk's text.  A negative value,
+    or a column that is not integer, raises :class:`ValueError`.
+    """
+    cols = [np.asarray(c) for c in columns]
+    if len(seps) != len(cols) or not all(0 < len(s) <= 4 and b"\0" not in s
+                                         for s in seps):
+        raise ValueError("every column needs a separator of 1 to 4 bytes")
+    for c in cols:
+        if c.dtype.kind not in "iu" or c.ndim != 1 or len(c) != len(cols[0]):
+            raise ValueError("rows need integer columns of one length")
+        if len(c) and not 0 <= c.min() <= c.max() <= np.iinfo(np.int64).max:
+            raise ValueError("cannot write a negative value or one past int64")
+    words = [np.frombuffer(s.ljust(4, b"\0"), dtype=np.uint32)[0]
+             for s in seps]
+    for i in range(0, len(cols[0]), _CSV_CHUNK):
+        block = [c[i:i + _CSV_CHUNK].astype(np.int64, copy=False)
+                 for c in cols]
+        widths = [(len(str(int(b.max()))) + 3) // 4 for b in block]
+        out = np.empty((len(block[0]), sum(widths) + len(block)), np.uint32)
+        at = 0
+        for b, width, sep in zip(block, widths, words):
+            q = b
+            for k in range(at + width - 1, at, -1):
+                q, g = np.divmod(q, 10_000)
+                np.add(g, 10_000, out=g, where=q != 0)
+                out[:, k] = _DIGITS[g]
+            out[:, at] = _DIGITS[q]
+            out[b == 0, at + width - 1] = _ZERO
+            at += width
+            out[:, at] = sep
+            at += 1
+        fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def _adjacency(rows, cols, nn: int) -> csr_matrix:
