@@ -44,6 +44,7 @@ the cycle's length equals the list's length.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -513,18 +514,21 @@ def _chord_lengths(tables: AncestorTables, g: GridGraph,
     return out
 
 
+@functools.cache
 def _digit_table() -> np.ndarray:
-    """Four ASCII digit bytes per entry, as uint32 words in memory order:
-    entry k < 10^4 is k with its leading zeros replaced by NUL bytes (all
-    four NUL for k = 0), and entry 10^4 + k is k with leading zeros."""
+    """Four ASCII digit bytes per entry, as read-only uint32 words in memory
+    order: entry k < 10^4 is k with its leading zeros replaced by NUL bytes
+    (all four NUL for k = 0), and entry 10^4 + k is k with leading zeros.
+    Built on first use, so that only programs that write rows hold it."""
     k = np.arange(10_000)[:, None]
     place = np.array([1000, 100, 10, 1])
     digits = (k // place % 10 + ord("0")).astype(np.uint8)
     lead = np.where(k >= place, digits, 0).astype(np.uint8)
-    return np.concatenate([lead, digits]).view(np.uint32).ravel()
+    table = np.concatenate([lead, digits]).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
 
 
-_DIGITS = _digit_table()
 _ZERO = np.frombuffer(b"0\0\0\0", dtype=np.uint32)[0]
 
 
@@ -535,8 +539,8 @@ def _write_rows(fh, seps, *columns) -> None:
 
     ``_CSV_CHUNK`` rows at a time become a uint32 matrix of four-byte words:
     a value's base-10^4 groups, most significant first, are looked up in
-    ``_DIGITS`` (the NUL-padded half for a value's leading group and the
-    empty groups above it), and a separator is one NUL-padded word.  Dropping
+    :func:`_digit_table` (the NUL-padded half for a value's leading group and
+    the empty groups above it), and a separator is one NUL-padded word.  Dropping
     every NUL byte of the matrix leaves the chunk's text.  A negative value,
     or a column that is not integer, raises :class:`ValueError`.
     """
@@ -551,6 +555,7 @@ def _write_rows(fh, seps, *columns) -> None:
             raise ValueError("cannot write a negative value or one past int64")
     words = [np.frombuffer(s.ljust(4, b"\0"), dtype=np.uint32)[0]
              for s in seps]
+    table = _digit_table()
     for i in range(0, len(cols[0]), _CSV_CHUNK):
         block = [c[i:i + _CSV_CHUNK].astype(np.int64, copy=False)
                  for c in cols]
@@ -562,8 +567,8 @@ def _write_rows(fh, seps, *columns) -> None:
             for k in range(at + width - 1, at, -1):
                 q, g = np.divmod(q, 10_000)
                 np.add(g, 10_000, out=g, where=q != 0)
-                out[:, k] = _DIGITS[g]
-            out[:, at] = _DIGITS[q]
+                out[:, k] = table[g]
+            out[:, at] = table[q]
             out[b == 0, at + width - 1] = _ZERO
             at += width
             out[:, at] = sep

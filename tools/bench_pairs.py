@@ -180,11 +180,10 @@ def judge(claim: str, runs, traced_runs, spec) -> dict:
 
 
 def machine() -> str:
-    import numpy
     import scipy
     mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
     return (f"{os.cpu_count()} CPUs, {mem:.0f} GB, {platform.system()}, "
-            f"Python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"Python {platform.python_version()}, numpy {np.__version__}, "
             f"scipy {scipy.__version__}; runs one at a time")
 
 
@@ -198,7 +197,9 @@ def parse_args(argv):
     p.add_argument("--traced", action="append", default=[],
                    help="workload:seed, one traced run per side")
     p.add_argument("--claim", help="workload:metric:percent")
-    p.add_argument("--seconds", type=float, default=24)
+    p.add_argument("--seconds", type=float,
+                   help="operation seconds per run (default: BENCHMARK.json's "
+                        "run_seconds)")
     p.add_argument("--what", required=True)
     p.add_argument("--note", default="", help="appended to the machine line")
     p.add_argument("--workdir", help="where the copies go")
@@ -209,6 +210,8 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent)
     change = "the working tree" if args.change == "." else git(
         "rev-parse", args.change)
