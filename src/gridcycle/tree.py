@@ -540,9 +540,10 @@ def _write_rows(fh, seps, *columns) -> None:
     ``_CSV_CHUNK`` rows at a time become a uint32 matrix of four-byte words:
     a value's base-10^4 groups, most significant first, are looked up in
     :func:`_digit_table` (the NUL-padded half for a value's leading group and
-    the empty groups above it), and a separator is one NUL-padded word.  Dropping
-    every NUL byte of the matrix leaves the chunk's text.  A negative value,
-    or a column that is not integer, raises :class:`ValueError`.
+    the empty groups above it), and a separator is one NUL-padded word.
+    Dropping every NUL byte of the matrix leaves the chunk's text.  A
+    negative value, or a column that is not integer, raises
+    :class:`ValueError`.
     """
     cols = [np.asarray(c) for c in columns]
     if len(seps) != len(cols) or not all(0 < len(s) <= 4 and b"\0" not in s

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import sys
 import time
@@ -51,6 +53,22 @@ def spiral_tree(g: GridGraph) -> SpanningTree:
         x0, y0, x1, y1 = x0 + 1, y0 + 1, x1 - 1, y1 - 1
     ids = [g.edge_id(path[i], path[i + 1]) for i in range(len(path) - 1)]
     return SpanningTree.from_edges(g, ids, (1, 1))
+
+
+def reference_tree_file(t: SpanningTree) -> bytes:
+    """The tree file of ``t``, written line by line with ``str``."""
+    ids = sorted(i for i, tree in enumerate(t.tree_edge_mask.tolist()) if tree)
+    lines = [f"n {t.n}", f"root {t.root[0]} {t.root[1]}"] + list(map(str, ids))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def reference_stats_csv(stats) -> bytes:
+    """The cycle-statistics CSV of ``stats``, written by the ``csv`` module."""
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf)
+    out.writerow(["edge_id", "length", "perimeter"])
+    out.writerows(stats.records())
+    return buf.getvalue().encode()
 
 
 def explicit_cycle_length(t: SpanningTree, eid: int) -> int:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_stats_csv, reference_tree_file
 from gridcycle import construction
 from gridcycle.cli import main
 from gridcycle.tree import SpanningTree
@@ -176,6 +177,32 @@ def test_export_malformed_tree_file(capsys, tmp_path, text, line):
     assert out == ""
     assert err.startswith(f"error: {tree_path}:{line}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_export_tree_file_id_past_int64(capsys, tmp_path):
+    tree_path = tmp_path / "big.txt"
+    tree_path.write_text("n 2\nroot 1 1\n0\n1\n99999999999999999999\n")
+    code, out, err = run_cli(capsys, "export", "--n", "2", "--tree",
+                             str(tree_path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: edge id 99999999999999999999 is not a host edge\n"
+
+
+def test_build_files_match_reference_writers(capsys, tmp_path):
+    tree_path, csv_path = tmp_path / "t64.txt", tmp_path / "t64.csv"
+    code, out, _ = run_cli(capsys, "build", "--n", "64", "--out",
+                           str(tree_path), "--csv-out", str(csv_path))
+    assert code == 0
+    assert out.splitlines()[0] == f"tree written to {tree_path}"
+    t = construction.build_tree(64)
+    assert tree_path.read_bytes() == reference_tree_file(t)
+    assert csv_path.read_bytes() == reference_stats_csv(t.total_length())
+    # The 1-grid's file has no edge lines, and reads back.
+    code, _, _ = run_cli(capsys, "build", "--n", "1", "--out", str(tree_path))
+    assert code == 0
+    assert tree_path.read_bytes() == b"n 1\nroot 1 1\n"
+    assert SpanningTree.from_file(tree_path).root == (1, 1)
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -85,9 +86,17 @@ def test_tree_rejects_unknown_edge():
         SpanningTree.from_edges(g, [0, 1, 99], (2, 1))
     # The message names the smallest bad id; range beats cardinality.
     for ids, bad in (([0, 1, -1], -1), ([99, -5, 4], -5), ([4, 7], 4),
-                     ({2, 8, 5}, 5), (np.array([1, 4]), 4)):
+                     ({2, 8, 5}, 5), (np.array([1, 4]), 4),
+                     ([0, 1, 2 ** 70], 2 ** 70)):
         with pytest.raises(UnknownEdgeError,
                            match=f"^edge id {bad} is not a host edge$"):
+            SpanningTree.from_edges(g, ids, (2, 1))
+    # Ids that are not integers are named, never truncated.
+    for ids, bad in (([0, 1, 2.5], "2.5"), ([0, 1, 2.9], "2.9"),
+                     (iter([0, 1, 2.5]), "2.5"), ((0, 1, "2"), "'2'"),
+                     (np.array([0.0, 1.0, 2.0]), "0.0")):
+        with pytest.raises(UnknownEdgeError,
+                           match=f"^edge id {bad} is not an integer$"):
             SpanningTree.from_edges(g, ids, (2, 1))
 
 
@@ -243,13 +252,17 @@ def test_tree_file_bytes_and_loose_layout(tmp_path, monkeypatch):
     (SpanningTree.from_file, "n 4\nroot 4 1\n0\n3 4\n", 4),
     (SpanningTree.from_file, "n 4\nroot 4 1\n0\n1\n2 extra\n", 5),
     (SpanningTree.from_file, "n 4\nroot 4 1\n \t\n3 4\n", 4),
+    (SpanningTree.from_file, "n x\nroot 4 1\n0\n1\n", 1),
+    (SpanningTree.from_file, "n 4\nroot 4\n0\n1\n", 2),
     (ExpandedGrid.from_file, "n 5\ndup 0 1 1 0\ndup 2 1 2 0\n", 3),
     (ExpandedGrid.from_file, "n 5\nxedge h 1 1 d\n", 2),
     (ExpandedGrid.from_file, "\n\n", 3),
     (EchelonMatrix.from_file, "2 3 2\n0 0\n1 x\n", 3),
     (EchelonMatrix.from_file, "2 3 2\n0 0\n", 1),
 ], ids=["tree_bad_id", "tree_missing_root", "tree_two_ids",
-        "tree_trailing_text", "tree_blank_then_two_ids", "expanded_dup_id",
+        "tree_trailing_text", "tree_blank_then_two_ids",
+        "tree_bad_side_digit_body", "tree_bad_root_digit_body",
+        "expanded_dup_id",
         "expanded_truncated_xedge", "expanded_missing_side", "matrix_bad_entry",
         "matrix_entry_count"])
 def test_parsers_raise_malformed_file_error_with_line(tmp_path, read, text,
@@ -288,6 +301,110 @@ def test_stats_csv(tmp_path, monkeypatch):
         monkeypatch.setattr(tree_module, "_CSV_CHUNK", chunk)
         stats.to_csv(path)
         assert path.read_bytes() == expected
+
+
+# -- integer-row writer and tree-file reader ------------------------------------
+
+# Every digit-count boundary of an int64: 9/10, 99/100, ..., and the largest.
+BOUNDARIES = sorted({0, 1, 2 ** 63 - 1}
+                    | {10 ** k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+def write_rows(seps, *columns) -> bytes:
+    buf = io.BytesIO()
+    tree_module._write_rows(buf, seps, *columns)
+    return buf.getvalue()
+
+
+def printf_rows(seps, rows) -> bytes:
+    """The reference: one ``%``-formatted string per row."""
+    fmt = "".join("%d" + sep.decode() for sep in seps)
+    return "".join(fmt % row for row in rows).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 3),
+       chunk=st.sampled_from([1, 5, 7, 1 << 16]))
+def test_write_rows_matches_printf(data, ncols, chunk):
+    value = st.one_of(st.sampled_from(BOUNDARIES),
+                      st.integers(0, 2 ** 63 - 1), st.integers(0, 20000))
+    rows = data.draw(st.lists(st.tuples(*[value] * ncols), max_size=40))
+    seps = data.draw(st.lists(st.sampled_from([b",", b"\n", b"\r\n", b" "]),
+                              min_size=ncols, max_size=ncols))
+    columns = [np.array([row[i] for row in rows], dtype=np.int64)
+               for i in range(ncols)]
+    with patch.object(tree_module, "_CSV_CHUNK", chunk):
+        assert write_rows(seps, *columns) == printf_rows(seps, rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, 1 << 16])
+def test_write_rows_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(tree_module, "_CSV_CHUNK", chunk)
+    col = np.array(BOUNDARIES, dtype=np.int64)
+    rev = col[::-1].copy()
+    assert write_rows((b"\n",), col) == printf_rows((b"\n",),
+                                                    zip(col.tolist()))
+    # Narrow and wide columns side by side, and unsigned columns.
+    rows = list(zip(rev.tolist(), col.tolist(), [7] * len(col)))
+    assert write_rows((b" ", b",", b"\r\n"), rev, col.astype(np.uint64),
+                      np.full(len(col), 7, dtype=np.uint8)) == printf_rows(
+        (b" ", b",", b"\r\n"), rows)
+
+
+def test_write_rows_rejects_what_it_cannot_write():
+    assert write_rows((b",", b"\n"), np.array([], dtype=np.int64),
+                      np.array([], dtype=np.int32)) == b""
+    for columns in ([np.array([3, -1])], [np.array([1.0, 2.0])],
+                    [np.array([2 ** 63], dtype=np.uint64)],
+                    [np.array([True])], [np.array([[1, 2]])],
+                    [np.array([1, 2]), np.array([1])]):
+        with pytest.raises(ValueError):
+            write_rows((b"\n",) * len(columns), *columns)
+    for seps in ((), (b"",), (b"12345",), (b"\0",)):
+        with pytest.raises(ValueError):
+            write_rows(seps, np.array([1]))
+
+
+@pytest.mark.parametrize("body,fast", [
+    ("0\n1\n2\n", True),
+    ("0\n1\n2", True),
+    ("0\n1\n002\n", True),
+    ("2\n0\n1\n", True),
+    ("0\r\n1\r\n2\r\n", False),
+    ("0\n1\n+2\n", False),
+    ("0\n1\n" + "0" * 18 + "02\n", False),
+    ("0\n\n1\n2\n", False),
+    ("0\n1\n 2\n", False),
+], ids=["as_written", "no_final_newline", "leading_zeros", "unsorted", "crlf",
+        "sign", "20_digits", "blank_line", "padding"])
+def test_tree_file_fast_path_matches_text_path(tmp_path, monkeypatch, body,
+                                               fast):
+    path = tmp_path / "t.txt"
+    path.write_bytes(f"n 2\nroot 1 1\n{body}".encode())
+    taken = tree_module._digit_lines(body.encode()) is not None
+    assert taken == fast
+    quick = SpanningTree.from_file(path)
+    monkeypatch.setattr(tree_module, "_digit_lines", lambda body: None)
+    slow = SpanningTree.from_file(path)
+    assert quick.root == slow.root == (1, 1)
+    assert quick.tree_edge_ids().tolist() == slow.tree_edge_ids().tolist()
+    assert quick.tree_edge_ids().tolist() == [0, 1, 2]
+
+
+def test_tree_file_fast_path_reads_large_trees(tmp_path, monkeypatch):
+    for t in (build_tree(64), random_spanning_tree(make_grid(40), 11)):
+        path = tmp_path / "t.txt"
+        t.to_file(path)
+        body = path.read_bytes().split(b"\n", 2)[2]
+        ids = tree_module._digit_lines(body)
+        assert ids.tolist() == [int(line) for line in body.splitlines()]
+        assert np.array_equal(SpanningTree.from_file(path).tree_edge_mask,
+                              t.tree_edge_mask)
+    # An id past int64 takes the text path and names the id.
+    path.write_text("n 2\nroot 1 1\n0\n1\n99999999999999999999\n")
+    with pytest.raises(UnknownEdgeError,
+                       match="^edge id 99999999999999999999 is not a host"):
+        SpanningTree.from_file(path)
 
 
 # -- dual-tree cycle boxes ------------------------------------------------------
