@@ -1,7 +1,9 @@
 import csv
 import io
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -21,7 +23,7 @@ from gridcycle.expanded import ExpandedGrid, XSpanningTree, xperimeter
 from gridcycle.matroid import EchelonMatrix
 from gridcycle.grid import make_grid
 from gridcycle.search import enumerate_spanning_trees, random_spanning_tree
-from gridcycle.tree import AncestorTables, SpanningTree, cycle_box
+from gridcycle.tree import AncestorTables, SpanningTree, cycle_box, record_ints
 
 
 def t3_rows_plus_central_column():
@@ -48,8 +50,10 @@ def test_tree_from_edges_cardinality_error():
     with pytest.raises(NotASpanningTreeError) as err:
         SpanningTree.from_edges(g, [0, 1, 2, 3], (2, 1))
     assert err.value.cause == "cardinality"
-    # Duplicates are reported before out-of-range ids.
-    for ids in ([0, 0, 1], [0, 0, 99], [-1, 2, 2], np.array([3, 99, 3])):
+    # Duplicates are reported before out-of-range ids, ids past int64
+    # among them.
+    for ids in ([0, 0, 1], [0, 0, 99], [-1, 2, 2], np.array([3, 99, 3]),
+                [5, 5, 2 ** 70], [2 ** 70, 1, 2 ** 70]):
         with pytest.raises(NotASpanningTreeError) as err:
             SpanningTree.from_edges(g, ids, (2, 1))
         assert err.value.cause == "cardinality"
@@ -94,7 +98,8 @@ def test_tree_rejects_unknown_edge():
     # Ids that are not integers are named, never truncated.
     for ids, bad in (([0, 1, 2.5], "2.5"), ([0, 1, 2.9], "2.9"),
                      (iter([0, 1, 2.5]), "2.5"), ((0, 1, "2"), "'2'"),
-                     (np.array([0.0, 1.0, 2.0]), "0.0")):
+                     (np.array([0.0, 1.0, 2.0]), "0.0"), ([0, 0, 2.5], "2.5"),
+                     ([2 ** 70, 2.5], "2.5")):
         with pytest.raises(UnknownEdgeError,
                            match=f"^edge id {bad} is not an integer$"):
             SpanningTree.from_edges(g, ids, (2, 1))
@@ -405,6 +410,36 @@ def test_tree_file_fast_path_reads_large_trees(tmp_path, monkeypatch):
     with pytest.raises(UnknownEdgeError,
                        match="^edge id 99999999999999999999 is not a host"):
         SpanningTree.from_file(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("0123456789 _+-\t\x1f\xa0x\u0663", max_size=5),
+                max_size=6))
+def test_tree_file_line_path_reads_lines_as_record_ints(body):
+    """Below the header, the line path reads every non-blank line as
+    ``record_ints`` reads a one-word line, and names the first line that
+    ``record_ints`` rejects."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_text("n 2\nroot 1 1\n" + "\n".join(body) + "\n")
+        expected, lineno = [], None
+        for i, line in enumerate(body, 3):
+            if line.strip():
+                try:
+                    expected += record_ints(path, i, line, "<edge-id>")
+                except MalformedFileError:
+                    lineno = i
+                    break
+        read = []
+        with patch.object(SpanningTree, "from_edges",
+                          lambda g, ids, root: read.extend(ids)):
+            if lineno is None:
+                SpanningTree.from_file(path)
+                assert read == expected
+            else:
+                with pytest.raises(MalformedFileError) as err:
+                    SpanningTree.from_file(path)
+                assert err.value.lineno == lineno
 
 
 # -- dual-tree cycle boxes ------------------------------------------------------

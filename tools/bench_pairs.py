@@ -16,11 +16,14 @@ pairs run the parent first and odd pairs the change first.  A traced run
 The output keeps every run's JSON result, and per workload and end-to-end
 metric the median and quartiles of each side (``numpy.percentile``, linear
 interpolation), the change's difference from the parent in percent, and the
-number of pairs in which the change was better.  A claim
-``workload:metric:percent`` is met when, in every batch of that workload, the
-change is better in at least nine pairs of ten, its median is better than
-the parent's by ``percent`` or more, and the medians differ by more than the
-parent's quartile distance.  The file is rewritten after every run.
+number of pairs in which both runs finished and the change was better.  A
+claim ``workload:metric:percent`` is met when, in every batch of that
+workload, the change is better in at least nine of every ten pairs run (a
+pair in which a run did not finish counts against it), its median is better
+than the parent's by ``percent`` or more, the medians differ by more than
+the parent's quartile distance, and the change's runs failed no more
+operations than the parent's.  Every run lasts BENCHMARK.json's
+``run_seconds``.  The file is rewritten after every run.
 """
 
 from __future__ import annotations
@@ -104,27 +107,41 @@ def metric_value(run, name):
 
 
 def compare(pairs, name: str, better: str) -> dict:
-    """Side quartiles and pair wins of one metric over (parent, change)
-    run pairs whose runs both finished."""
-    parent = [metric_value(p, name) for p, _ in pairs]
-    change = [metric_value(c, name) for _, c in pairs]
+    """Each side's quartiles of one metric over the (parent, change) run
+    pairs in which both runs finished, and the number of those pairs in
+    which the change was better."""
+    finished = [(p, c) for p, c in pairs if p["result"] and c["result"]]
+    parent = [metric_value(p, name) for p, _ in finished]
+    change = [metric_value(c, name) for _, c in finished]
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    pm, cm = np.median(parent), np.median(change)
-    return {"better": better, "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_minus_parent_pct": round(float(100 * (cm - pm) / pm), 1),
-            "change_better_pairs": int(wins), "pairs": len(pairs)}
+    row = {"better": better, "parent": None, "change": None,
+           "change_minus_parent_pct": None, "change_better_pairs": int(wins),
+           "pairs": len(pairs), "finished_pairs": len(finished)}
+    if finished:
+        pm, cm = np.median(parent), np.median(change)
+        row.update(parent=quartiles(parent), change=quartiles(change),
+                   change_minus_parent_pct=round(float(100 * (cm - pm) / pm),
+                                                 1))
+    return row
 
 
 def paired(runs, workload: str, batch=None):
-    """(parent, change) runs of each pair of a workload, both finished."""
+    """(parent, change) runs of each pair of a workload that ran both
+    sides, finished or not."""
     by_pair = {}
     for r in runs:
         if r["workload"] == workload and batch in (None, r["batch"]):
             by_pair.setdefault((r["batch"], r["pair"]), {})[r["side"]] = r
     return [(s["parent"], s["change"]) for _, s in sorted(by_pair.items())
-            if len(s) == 2 and all(s[k]["result"] for k in s)]
+            if len(s) == 2]
+
+
+def failed_ops(pairs) -> dict:
+    """Operations that failed, summed over each side's finished runs."""
+    return {side: sum(pair[k]["result"]["failed"] for pair in pairs
+                      if pair[k]["result"])
+            for k, side in enumerate(("parent", "change"))}
 
 
 def summarize(runs, spec) -> dict:
@@ -157,15 +174,18 @@ def judge(claim: str, runs, traced_runs, spec) -> dict:
         if not pairs:
             continue
         row = compare(pairs, name, better)
+        row.update(batch=batch, failed_ops=failed_ops(pairs), met=False)
         parent = row["parent"]
-        gap = sign * (row["change"]["median"] - parent["median"])
-        row.update(batch=batch, median_difference=round(gap, 4),
-                   parent_quartile_distance=round(parent["q3"] - parent["q1"],
-                                                  4))
-        row["met"] = bool(10 * row["change_better_pairs"] >= 9 * row["pairs"]
-                          and sign * row["change_minus_parent_pct"]
-                          >= float(pct)
-                          and gap > row["parent_quartile_distance"])
+        if parent:
+            gap = sign * (row["change"]["median"] - parent["median"])
+            row.update(median_difference=round(gap, 4),
+                       parent_quartile_distance=round(
+                           parent["q3"] - parent["q1"], 4))
+            row["met"] = bool(
+                10 * row["change_better_pairs"] >= 9 * row["pairs"]
+                and sign * row["change_minus_parent_pct"] >= float(pct)
+                and gap > row["parent_quartile_distance"]
+                and row["failed_ops"]["change"] <= row["failed_ops"]["parent"])
         batches.append(row)
     traced = {}
     for r in traced_runs:
@@ -197,9 +217,6 @@ def parse_args(argv):
     p.add_argument("--traced", action="append", default=[],
                    help="workload:seed, one traced run per side")
     p.add_argument("--claim", help="workload:metric:percent")
-    p.add_argument("--seconds", type=float,
-                   help="operation seconds per run (default: BENCHMARK.json's "
-                        "run_seconds)")
     p.add_argument("--what", required=True)
     p.add_argument("--note", default="", help="appended to the machine line")
     p.add_argument("--workdir", help="where the copies go")
@@ -210,8 +227,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
+    seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent)
     change = "the working tree" if args.change == "." else git(
         "rev-parse", args.change)
@@ -228,7 +244,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent_commit": parent_commit,
         "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
-                    f"--seconds {args.seconds:g} --trace 0, run in a fresh "
+                    f"--seconds {seconds:g} --trace 0, run in a fresh "
                     f"copy of each side's files (git archive of the parent; "
                     f"the change: {change}); the traced runs use --trace 1; "
                     f"pairs by tools/bench_pairs.py"),
@@ -261,7 +277,7 @@ def main(argv=None) -> int:
                         "workload": workload, "batch": number, "pair": pair,
                         "seed": seed, "side": side, "first": order[0],
                         **run_bench(copies[side], workload, seed,
-                                    args.seconds, 0)})
+                                    seconds, 0)})
                     save()
         for workload, seeds_ in traced:
             for seed in seeds_:
@@ -270,7 +286,7 @@ def main(argv=None) -> int:
                         "workload": workload, "seed": seed, "side": side,
                         "trace": 1,
                         **run_bench(copies[side], workload, seed,
-                                    args.seconds, 1)})
+                                    seconds, 1)})
                     save()
         save()
     finally:
