@@ -29,7 +29,7 @@ for n in (9, 10, 15, 16):
     t = build_tree(n)
     cc = crossing_chords(t)
     cap = crossing_cycle_cap(n)
-    worst = max(t.cycle_length(int(e)) for e in cc)
+    worst = t.cycle_lengths(cc).max()
     print(f"n={n:3d}: {len(cc):3d} crossing chords, longest cycle {worst} <= {cap}")
 
 # %%

@@ -49,12 +49,12 @@ from .errors import (
     MalformedFileError,
     NotDrawableError,
     OutOfRangeError,
-    UnknownEdgeError,
 )
 from .grid import Coord, GridGraph, SubgridRef
 from .tree import (AncestorTables, SpanningTree, _adjacency, _bfs,
-                   _dual_perimeters, malformed_line, missing_line,
-                   record_ints, tree_path)
+                   _box_perimeters, _dual_fold, _edge_id_array, _face_boxes,
+                   _integer_ids, malformed_line, missing_line, record_ints,
+                   tree_path)
 
 
 @dataclass(frozen=True)
@@ -539,13 +539,12 @@ class XSpanningTree:
         self.grid = grid
         host = grid.host
         self.host_edge_mask = np.zeros(host.num_edges, dtype=bool)
-        hids = np.sort(np.asarray(host_edge_ids, dtype=np.int64))
+        hids = np.sort(_edge_id_array(host_edge_ids, host.num_edges))
         if (hids[1:] == hids[:-1]).any():
             raise GridCycleError("duplicate host edge ids")
-        if len(hids) and (hids[0] < 0 or hids[-1] >= host.num_edges):
-            raise UnknownEdgeError("host edge id out of range")
         self.host_edge_mask[hids] = True
-        self.xedge_indices = tuple(sorted(int(i) for i in xedge_indices))
+        self.xedge_indices = tuple(sorted(
+            _integer_ids(list(xedge_indices)).tolist()))
         if len(set(self.xedge_indices)) != len(self.xedge_indices):
             raise GridCycleError("duplicate extra-edge indices")
         for i in self.xedge_indices:
@@ -641,7 +640,9 @@ def lstar(t: XSpanningTree, h: ExpandedGrid | None = None) -> int:
     if len(chords) == 0:
         return 0
     if not grid.duplicates and not grid.xedges:
-        return int(_dual_perimeters(grid.host.n, chords).sum())
+        n = grid.host.n
+        child, boxes = _dual_fold(n, chords, lambda: _face_boxes(n))
+        return int(_box_perimeters(boxes, child).sum())
     ua, ub = grid.host.edge_endpoint_indices(chords)
     return int(t.tables.path_perimeters(ua, ub).sum())
 

@@ -3,7 +3,8 @@
 This module is the rooted-tree core of the package.  One BFS (``_bfs``)
 roots host trees, the dual tree and expanded-grid trees; one explicit parent
 walk (:func:`tree_path`) traces their paths; one lifting climb
-(:class:`AncestorTables`) answers LCAs and the min/max folds of path boxes.
+(:class:`AncestorTables`) answers the LCAs and the min/max folds of path
+boxes of expanded-grid trees.
 Sums along root paths, such as weighted depths and flag counts, come from
 the preorder layout of expanded-grid trees instead (``expanded._TreeRanges``).
 
@@ -15,19 +16,12 @@ lengths and perimeters of :class:`CycleStats`, whose depth sums are formed
 in int64.
 
 A :class:`SpanningTree` holds parent/depth arrays over the host grid's
-vertex indexing and its tree-edge mask.  Cycle lengths come
-from binary-lifting ancestor tables that exist only while they are read:
-:meth:`SpanningTree.total_length` builds them for its one batched LCA pass
-and drops them, and :meth:`SpanningTree.cycle_lengths` builds them on first
-use and keeps them, so that any later length is an O(log n) query.  Either
-pass takes its chords ``_LCA_CHUNK`` at a time, which bounds the climb's
-temporaries by the chunk, not by the grid.  Bounding boxes of the cycles come
-from the dual tree instead: the chords of a plane spanning tree form a
-spanning tree of the faces, and a chord's cycle encloses exactly the faces
-of its subtree when that tree is rooted at the outer face, so every box is
-a subtree min/max over unit squares, in O(n^2) memory.  Boxes of tree paths
-folded through the lifting tables (:meth:`AncestorTables.path_boxes`)
-serve expanded grids, whose faces are not unit squares.
+vertex indexing and its tree-edge mask.  The chords of a plane spanning
+tree form a spanning tree of the faces, and a chord's cycle encloses the
+unit squares of its subtree when that tree is rooted at the outer face: one
+fold over the subtrees (:func:`_dual_fold`) gives every cycle's box and
+length, in O(n^2) memory.  Lifting tables serve only expanded-grid trees,
+whose faces are not unit squares (:class:`AncestorTables`).
 
 Tree files and cycle-statistics CSVs are written by one integer-row encoder,
 ``_write_rows``, which turns whole columns into ASCII through a table of
@@ -66,8 +60,6 @@ from .grid import Coord, Edge, GridGraph
 # Rows encoded per write by :func:`_write_rows`, for :meth:`CycleStats.to_csv`
 # and :meth:`SpanningTree.to_file`.
 _CSV_CHUNK = 1 << 16
-# Chords per batched LCA climb in :func:`_chord_lengths`.
-_LCA_CHUNK = 1 << 16
 
 
 class AncestorTables:
@@ -128,21 +120,6 @@ class AncestorTables:
                 u[move] = self.up[k][u[move]]
                 v[move] = self.up[k][v[move]]
         return np.where(u == v, u, self.parent[u])
-
-    def cycle_lengths(self, u, v):
-        """Length of chord {u,v}'s fundamental cycle: tree path plus one."""
-        return self.distances(u, v) + 1
-
-    def distances(self, u, v):
-        """Number of tree edges on the paths u..v, elementwise, as int64:
-        the depth sums are formed in int64, since int32 depths of a deep
-        tree can overflow in them."""
-        dw = self.depth[self.lca(u, v)]
-        out = self.depth[u].astype(np.int64)
-        out += self.depth[v]
-        out -= dw
-        out -= dw
-        return out
 
     # -- path folds --------------------------------------------------------
 
@@ -244,9 +221,7 @@ class SpanningTree:
     """A rooted spanning tree of an n-grid.
 
     Immutable after construction; all queries are pure, so instances can be
-    shared between threads.  The lifting tables are a cache, built by the
-    first :meth:`cycle_lengths` call: two threads may both build them, and
-    both get equal tables.
+    shared between threads.
     """
 
     def __init__(self, host: GridGraph, root: Coord, parent_idx, depth_arr,
@@ -256,14 +231,6 @@ class SpanningTree:
         self.parent_idx = parent_idx
         self.depth_arr = depth_arr
         self.tree_edge_mask = tree_edge_mask
-        self._lifting = None
-
-    @property
-    def _tables(self) -> AncestorTables:
-        """The tree's lifting tables, built on first use and kept."""
-        if self._lifting is None:
-            self._lifting = AncestorTables(self.parent_idx, self.depth_arr)
-        return self._lifting
 
     # -- construction ------------------------------------------------------
 
@@ -339,8 +306,8 @@ class SpanningTree:
     def fundamental_cycle(self, e) -> list[Coord]:
         """Ordered vertex cycle of a chord, traced by explicit parent walks.
 
-        Deliberately does not use the lifting tables, so it serves as an
-        independent cross-check of the O(1) length formula.
+        Deliberately does not use the dual fold, so it serves as an
+        independent cross-check of its lengths and boxes.
         """
         eid = e.id if isinstance(e, Edge) else e
         eid = int(_edge_id_array([eid], self.host.num_edges)[0])
@@ -353,7 +320,7 @@ class SpanningTree:
         return [g.vertex_at(i) for i in path]
 
     def cycle_length(self, eid: int) -> int:
-        """O(log n) fundamental-cycle length of a chord."""
+        """One chord's fundamental-cycle length, from a whole dual pass."""
         return int(self.cycle_lengths([eid])[0])
 
     def cycle_lengths(self, eids) -> np.ndarray:
@@ -365,28 +332,44 @@ class SpanningTree:
         eids = _edge_id_array(eids, self.host.num_edges)
         if self.tree_edge_mask[eids].any():
             raise NotAChordError("given edges include tree edges")
-        return _chord_lengths(self._tables, self.host, eids)
+        chords = self.chord_ids()
+        depth = self._outer_depths()
+        child, (low,) = _dual_fold(self.n, chords,
+                                   lambda: [_corner_depths(self.n, depth)])
+        low = low[child[chords.searchsorted(eids)]]
+        return self._lengths(depth, eids, low)
 
     def total_length(self) -> CycleStats:
-        """Lengths and bounding-box perimeters of every chord's cycle.
-
-        The lengths come first, from lifting tables that are dropped before
-        the dual pass unless :meth:`cycle_lengths` has already cached them.
-        """
+        """Lengths and bounding-box perimeters of every chord's cycle."""
         g = self.host
         if g.n < 2:
             raise NoChordsError("the 1-grid has no chords")
         chords = self.chord_ids()
-        tables = self._lifting or AncestorTables(self.parent_idx,
-                                                 self.depth_arr)
-        lengths = _chord_lengths(tables, g, chords)
-        del tables
-        perims = _dual_perimeters(g.n, chords)
+        depth = self._outer_depths()
+        child, rows = _dual_fold(g.n, chords, lambda: [
+            *_face_boxes(g.n), _corner_depths(g.n, depth)])
+        perims = _box_perimeters(rows[:4], child)
+        del rows[:4]  # freed before the lengths' temporaries exist
+        lengths = self._lengths(depth, chords, rows[0][child])
         L = int(lengths.sum())
         P = int(perims.sum())
         count = len(chords)
         return CycleStats(chords, lengths, perims, L, P, count,
                           Fraction(L, count))
+
+    def _outer_depths(self) -> np.ndarray:
+        """Vertex depths from a root on the outer face: this tree's own
+        root when it is peripheral, and (1, 1) otherwise."""
+        if 1 in self.root or self.n in self.root:
+            return self.depth_arr
+        ua, ub = self.host.edge_endpoint_indices(self.tree_edge_ids())
+        return _bfs(self.host.num_vertices, ua, ub, 0)[1]
+
+    def _lengths(self, depth, eids, low) -> np.ndarray:
+        """Cycle lengths of the chords ``eids`` whose LCAs have the depths
+        ``low``, in int64, where the depth sums of a deep tree fit."""
+        ua, ub = self.host.edge_endpoint_indices(eids)
+        return depth[ua].astype(np.int64) + depth[ub] - low - low + 1
 
     # -- file format -------------------------------------------------------
 
@@ -480,9 +463,11 @@ def _digit_lines(body: bytes):
 def _integer_ids(eids) -> np.ndarray:
     """``eids`` as an integer array, of object dtype when numpy does not
     read it as one, after checking that every id is an integer; the first
-    id that is not raises :class:`UnknownEdgeError`."""
+    id that is not raises :class:`UnknownEdgeError`.  A bool is not an
+    integer here, also in a sequence that numpy reads as integers."""
     ids = np.asarray(eids)
-    if ids.dtype.kind in "iu":
+    if ids.dtype.kind in "iu" and (isinstance(eids, np.ndarray) or not
+                                   {bool, np.bool_} & set(map(type, eids))):
         return ids
     ids = np.asarray(eids, dtype=object)
     for e in ids.ravel():
@@ -502,17 +487,6 @@ def _edge_id_array(eids, num_edges: int) -> np.ndarray:
         e = ids.ravel()[bad.ravel().argmax()]
         raise UnknownEdgeError(f"edge id {e} is not a host edge")
     return ids.astype(np.int64, copy=False)
-
-
-def _chord_lengths(tables: AncestorTables, g: GridGraph,
-                   chords) -> np.ndarray:
-    """Fundamental-cycle lengths (int64) of the chords of the tree that
-    ``tables`` lift, ``_LCA_CHUNK`` chords per LCA climb."""
-    out = np.empty(len(chords), dtype=np.int64)
-    for i in range(0, len(chords), _LCA_CHUNK):
-        ua, ub = g.edge_endpoint_indices(chords[i:i + _LCA_CHUNK])
-        out[i:i + _LCA_CHUNK] = tables.cycle_lengths(ua, ub)
-    return out
 
 
 @functools.cache
@@ -621,7 +595,7 @@ def _bfs(nv: int, ua, ub, root: int):
 
 def _chord_faces(n: int, chords):
     """The two faces (int32) that each chord of the n-grid (n >= 2)
-    separates, indexed as in :func:`_dual_perimeters`."""
+    separates, indexed as in :func:`_dual_fold`."""
     m = n - 1
     outer = m * m
     chords = np.asarray(chords, dtype=np.int64)
@@ -640,21 +614,31 @@ def _chord_faces(n: int, chords):
     return fa, fb
 
 
-def _dual_perimeters(n: int, chords) -> np.ndarray:
-    """Bounding-box perimeters (int64) of the fundamental cycles of a
-    spanning tree of the n-grid (n >= 2), given all of its chord ids.
+def _dual_fold(n: int, chords, make_rows):
+    """Each chord's child face (int32) in the dual tree of a spanning tree
+    of the n-grid, given all of its chord ids, and face rows folded over
+    the subtrees.
 
     The faces are the (n-1)^2 unit squares, indexed like vertices of the
     (n-1)-grid by their lower-left corner, plus the outer face (n-1)^2.
     The chords, each joining the two faces it separates, form the dual
-    spanning tree; rooted at the outer face, chord e's cycle is the
-    boundary of the faces in the subtree of e's face farther from the
-    root, so its box is that subtree's box.  Subtree boxes are folded into
-    parents one depth level at a time, deepest first.  Face ids and boxes
-    are int32.
+    spanning tree; rooted at the outer face, chord e's cycle C_e bounds the
+    squares of the subtree of e's child face.  ``make_rows()``, called once
+    that tree is rooted so that no row is alive beside the rooting's
+    temporaries, gives (ufunc, int32 face row) pairs.  Each is folded into
+    parents one level at a time, deepest first; then row[child] reduces it
+    over the squares inside C_e, whose boxes give C_e's box.
+
+    Lemma: with depths measured from a root on the outer face, the least
+    depth among the corners of the squares inside C_e is the depth of the
+    LCA w of e = {u, v}.  Proof: the vertices of the closed disk bounded by
+    C_e are the corners of the enclosed squares.  w is the unique
+    shallowest vertex of the tree path u..v.  The root path of a vertex
+    strictly inside the disk leaves it through a vertex p of C_e, since
+    tree edges do not cross C_e and a peripheral root is never strictly
+    inside; so that vertex lies below p and is deeper than w.
     """
-    m = n - 1
-    outer = m * m
+    outer = (n - 1) ** 2
     fa, fb = _chord_faces(n, chords)
     parent, depth, order, ends = _bfs(outer + 1, fa, fb, outer)
     child = np.where(depth[fa] > depth[fb], fa, fb)
@@ -662,21 +646,35 @@ def _dual_perimeters(n: int, chords) -> np.ndarray:
     # Fancy indexing and ufunc.at take intp indices as they are, but
     # convert int32 ones on every call of the per-level loop.
     parent, order = parent.astype(np.intp), order.astype(np.intp)
-    face = np.arange(outer + 1, dtype=np.int32)
-    xmin = face % m + 1
-    ymin = face // m + 1
-    xmax = xmin + 1
-    ymax = ymin + 1
+    rows = make_rows()
     for d in range(len(ends) - 1, 0, -1):
         kids = order[ends[d - 1]:ends[d]]
         up = parent[kids]
-        np.minimum.at(xmin, up, xmin[kids])
-        np.maximum.at(xmax, up, xmax[kids])
-        np.minimum.at(ymin, up, ymin[kids])
-        np.maximum.at(ymax, up, ymax[kids])
-    del parent, order
-    half = (xmax - xmin) + (ymax - ymin)
-    return 2 * half[child].astype(np.int64)
+        for op, row in rows:
+            op.at(row, up, row[kids])
+    return child, [row for _, row in rows]
+
+
+def _face_boxes(n: int) -> list:
+    """The unit squares' xmin, xmax, ymin, ymax rows of :func:`_dual_fold`."""
+    face = np.arange((n - 1) ** 2 + 1, dtype=np.int32)
+    xmin, ymin = face % (n - 1) + 1, face // (n - 1) + 1
+    return [(np.minimum, xmin), (np.maximum, xmin + 1),
+            (np.minimum, ymin), (np.maximum, ymin + 1)]
+
+
+def _corner_depths(n: int, depth):
+    """Each unit square's least corner depth, a row of :func:`_dual_fold`."""
+    d = depth.reshape(n, n)
+    low = np.minimum(np.minimum(d[:-1, :-1], d[:-1, 1:]),
+                     np.minimum(d[1:, :-1], d[1:, 1:]))
+    return np.minimum, np.pad(low.ravel(), (0, 1))
+
+
+def _box_perimeters(boxes, child) -> np.ndarray:
+    """Perimeters (int64) of the folded box rows at the faces ``child``."""
+    xmin, xmax, ymin, ymax = boxes
+    return 2 * ((xmax - xmin) + (ymax - ymin))[child].astype(np.int64)
 
 
 def tree_path(parent, depth, a: int, b: int) -> list[int]:

@@ -15,7 +15,8 @@ from gridcycle.construction import build_tree
 from gridcycle.errors import (CounterexampleError, DegeneratePointError,
                               EmptyCycleError, GridCycleError, LayerError,
                               MalformedEdgeError, MalformedFileError,
-                              NotDrawableError, OutOfRangeError)
+                              NotDrawableError, OutOfRangeError,
+                              UnknownEdgeError)
 from gridcycle.expanded import (Duplicate, ExpandedGrid, XSpanningTree,
                                 _is_planar, _ring_steps, contract,
                                 find_long_edge,
@@ -263,6 +264,31 @@ def test_xtree_cardinality_error():
     h = plain(make_grid(2))
     with pytest.raises(GridCycleError):
         XSpanningTree(h, [0, 1], [], (1, 1))
+
+
+def test_xtree_rejects_ids_that_are_not_edges():
+    # Host ids and extra-edge indices are named, never truncated.
+    h = ExpandedGrid(make_grid(2), [Duplicate(0, (1, 1), 0)],
+                     [((1, 1), ("d", 0))])
+    for hids, named in (([0.5, 1, 3], "0.5 is not an integer"),
+                        ([0, True, 3], "True is not an integer"),
+                        ([0, 1, 2 ** 70], f"{2 ** 70} is not a host edge"),
+                        ([0, 1, 4], "4 is not a host edge"),
+                        ([-1, 1, 3], "-1 is not a host edge")):
+        with pytest.raises(UnknownEdgeError, match=f"^edge id {named}$"):
+            XSpanningTree(plain(make_grid(2)), hids, [])
+    for xids, named in (([0.5], "0.5"), ([True], "True"), ([0, 0.0], "0.0")):
+        with pytest.raises(UnknownEdgeError,
+                           match=f"^edge id {named} is not an integer$"):
+            XSpanningTree(h, [0, 1], xids, (1, 1))
+    with pytest.raises(GridCycleError, match="^duplicate host edge ids$"):
+        XSpanningTree(plain(make_grid(2)), [0, 1, 1], [])
+    with pytest.raises(GridCycleError,
+                       match="^duplicate extra-edge indices$"):
+        XSpanningTree(h, [0, 1], [0, 0], (1, 1))
+    xt = XSpanningTree(h, np.array([0, 1, 3], dtype=np.int32),
+                       [np.int64(0)], (1, 1))
+    assert xt.xedge_indices == (0,) and xt.host_chord_ids().tolist() == [2]
 
 
 
@@ -625,7 +651,8 @@ def assert_lifted_folds_match_walks(xt, rng):
                  ("dups",): np.arange(grid.num_nodes) >= grid.host.num_vertices}
     for k, p in enumerate((0.02, 0.1, 0.3)):
         flag_sets[("random", k)] = rng.random(grid.num_nodes) < p
-    dist = xt.tables.distances(ua, ub)
+    d = xt.depth_arr.astype(np.int64)
+    dist = d[ua] + d[ub] - 2 * d[xt.tables.lca(ua, ub)]
     per = xt.tables.path_perimeters(ua, ub)
     hits = {key: xt.path_hits(ua, ub, flags)
             for key, flags in flag_sets.items()}

@@ -99,7 +99,8 @@ def test_tree_rejects_unknown_edge():
     for ids, bad in (([0, 1, 2.5], "2.5"), ([0, 1, 2.9], "2.9"),
                      (iter([0, 1, 2.5]), "2.5"), ((0, 1, "2"), "'2'"),
                      (np.array([0.0, 1.0, 2.0]), "0.0"), ([0, 0, 2.5], "2.5"),
-                     ([2 ** 70, 2.5], "2.5")):
+                     ([2 ** 70, 2.5], "2.5"), ([0, 1, True], "True"),
+                     ([True, 1, 2], "True")):
         with pytest.raises(UnknownEdgeError,
                            match=f"^edge id {bad} is not an integer$"):
             SpanningTree.from_edges(g, ids, (2, 1))
@@ -489,8 +490,6 @@ def test_dual_perimeters_match_lifted_boxes(make):
                             idx // n + 1)
     ua, ub = t.host.edge_endpoint_indices(stats.edge_ids)
     assert np.array_equal(stats.perimeters, lifted.path_perimeters(ua, ub))
-    # Host trees take their boxes from the dual tree alone.
-    assert not t._tables._lifted
 
 
 # -- the int32 tree core --------------------------------------------------------
@@ -501,7 +500,7 @@ def test_tree_core_dtypes():
     t = build_tree(16)
     g = t.host
     i32, i64 = np.dtype(np.int32), np.dtype(np.int64)
-    tab = t._tables
+    tab = AncestorTables(t.parent_idx, t.depth_arr)
     assert {a.dtype for a in (t.parent_idx, t.depth_arr, tab.parent,
                               tab.depth, *tab.up)} == {i32}
     stats = t.total_length()
@@ -522,8 +521,9 @@ def test_tree_core_dtypes():
 
 
 def test_tree_core_peak_memory_per_vertex():
-    # from_edges + total_length on T_256 under tracemalloc: about 110 bytes
-    # per vertex with int32 vertex arrays, about 245 with int64 ones.
+    # from_edges + total_length on T_256 under tracemalloc: about 70 bytes
+    # per vertex with int32 vertex arrays and lengths from the dual fold
+    # (110 with them from a lifting table), about 245 with int64 arrays.
     n = 256
     g = make_grid(n)
     ids = _edge_ids(n)
@@ -557,23 +557,48 @@ def test_spiral_deeper_than_int16():
         assert lifted[j] == xperimeter(xt.grid, path)
 
 
-# -- lifting tables only while a length pass reads them ---------------------------
+# -- cycle lengths from the dual fold ---------------------------------------------
 
-def test_lifting_tables_built_only_for_length_passes():
-    t = build_tree(32)
-    assert t._lifting is None
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       root=st.integers(0, 143))
+def test_dual_lengths_match_explicit_and_lifted_any_root(n, seed, root):
+    # Interior roots included: the fold then measures depths from (1, 1).
+    g = make_grid(n)
+    drawn = random_spanning_tree(g, seed)
+    t = SpanningTree.from_edges(g, drawn.tree_edge_ids(),
+                                g.vertex_at(root % (n * n)))
+    chords = t.chord_ids()
+    lifted = AncestorTables(t.parent_idx, t.depth_arr)
+    ua, ub = g.edge_endpoint_indices(chords)
+    d = t.depth_arr.astype(np.int64)
+    expected = d[ua] + d[ub] - 2 * d[lifted.lca(ua, ub)] + 1
     stats = t.total_length()
-    assert t._lifting is None
-    lengths = t.cycle_lengths(stats.edge_ids)
-    assert np.array_equal(lengths, stats.lengths)
-    cached = t._lifting
-    assert cached is not None and t._tables is cached
-    assert t.cycle_length(int(stats.edge_ids[0])) == stats.lengths[0]
-    again = t.total_length()
-    assert np.array_equal(again.lengths, stats.lengths)
-    assert t._lifting is cached
-    back = SpanningTree.from_edges(t.host, t.tree_edge_ids(), t.root)
-    assert back._lifting is None
+    assert np.array_equal(stats.lengths, expected)
+    assert np.array_equal(t.cycle_lengths(chords), expected)
+    assert np.array_equal(t.cycle_lengths(chords[::-2]), expected[::-2])
+    for eid, length in zip(chords.tolist(), expected.tolist()):
+        assert length == explicit_cycle_length(t, eid)
+
+
+def test_cycle_lengths_of_no_chords():
+    for t in (build_tree(1), build_tree(4)):
+        lengths = t.cycle_lengths([])
+        assert lengths.tolist() == [] and lengths.dtype == np.int64
+
+
+def test_host_tree_lengths_build_no_lifting_tables(monkeypatch):
+    t = build_tree(32)
+    stats = t.total_length()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a host tree built AncestorTables")
+
+    monkeypatch.setattr(AncestorTables, "__init__", refuse)
+    again = SpanningTree.from_edges(t.host, t.tree_edge_ids(), t.root)
+    assert again.total_length().records() == stats.records()
+    assert np.array_equal(again.cycle_lengths(stats.edge_ids), stats.lengths)
+    assert again.cycle_length(int(stats.edge_ids[0])) == stats.lengths[0]
 
 
 @pytest.mark.parametrize("make", [lambda: spiral_tree(make_grid(9)),
@@ -581,12 +606,9 @@ def test_lifting_tables_built_only_for_length_passes():
                                   lambda: random_spanning_tree(make_grid(11),
                                                                3)],
                          ids=["spiral_9", "comb_10", "uniform_11"])
-def test_chunked_length_pass_matches_explicit_walks(monkeypatch, make):
-    # Seven chords per LCA climb: many full chunks and a partial last one.
-    monkeypatch.setattr(tree_module, "_LCA_CHUNK", 7)
+def test_chunked_length_pass_matches_explicit_walks(make):
     t = make()
     chords = t.chord_ids()
-    assert len(chords) % 7
     stats = t.total_length()
     assert np.array_equal(stats.edge_ids, chords)
     for eid, length, perim in stats.records():
@@ -605,8 +627,9 @@ def test_chord_id_checks():
                        (np.array([5, 99], dtype=np.uint64), "99"),
                        ([4.7], "4.7"), ([3, 4.7], "4.7"), (np.array([4.0]),
                                                            "4.0"),
-                       ([True], "True"), (["4"], "'4'"), ([3, 2 ** 70],
-                                                          str(2 ** 70))):
+                       ([True], "True"), ([4, True], "True"),
+                       ([4, np.True_], repr(np.True_)), (["4"], "'4'"),
+                       ([3, 2 ** 70], str(2 ** 70))):
         with pytest.raises(UnknownEdgeError, match=f"edge id {named} "):
             t.cycle_lengths(bad)
     for bad in (-1, 24, 4.7):
@@ -624,9 +647,10 @@ def test_chord_id_checks():
 
 
 def test_length_pass_peak_memory_per_vertex():
-    # from_edges + total_length on T_512 under tracemalloc: about 78 bytes per
-    # vertex with the lifting table built for the LCA pass alone and the pass
-    # in chunks of chords, about 114 with the table kept by every tree.
+    # from_edges + total_length on T_512 under tracemalloc: about 70 bytes per
+    # vertex with lengths and boxes from one dual fold whose rows are made
+    # after the dual BFS, about 78 with a lifting table built for a chunked
+    # LCA pass, and about 114 with the table kept by every tree.
     n = 512
     g = make_grid(n)
     ids = _edge_ids(n)
