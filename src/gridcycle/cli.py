@@ -157,7 +157,7 @@ def cmd_search(args) -> int:
         rep = min_total_length(g)
         tree_file = args.out
         if tree_file:
-            SpanningTree.from_edges(g, list(rep.witness_edge_ids),
+            SpanningTree.from_edges(g, rep.witness_edge_ids,
                                     (1, 1) if n == 1 else (n, 1)).to_file(tree_file)
         print(f"{rep.trees_scanned} trees scanned")
         print(f"minimum L {rep.min_L}")
@@ -206,11 +206,10 @@ def cmd_export(args) -> int:
     else:
         t = build_tree(n)
     mat = echelon_representation(g, t)
+    print(f"{mat.n_rows} {mat.n_cols} {mat.nnz}")
     if args.out:
         mat.to_file(args.out)
-        print(f"{mat.n_rows} {mat.n_cols} {mat.nnz}")
     else:
-        print(f"{mat.n_rows} {mat.n_cols} {mat.nnz}")
         for r, c in mat.entries:
             print(f"{r} {c}")
     return EXIT_OK

@@ -184,8 +184,7 @@ def validate_construction(t: SpanningTree) -> ConstructionReport:
     """
     n = t.n
     try:
-        SpanningTree.from_edges(t.host, [int(e) for e in t.tree_edge_ids()],
-                                t.root)
+        SpanningTree.from_edges(t.host, t.tree_edge_ids(), t.root)
     except Exception as exc:
         raise ConstructionInvalidError("a", f"not a spanning tree: {exc}")
     if t.root != (n, 1):

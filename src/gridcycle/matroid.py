@@ -139,9 +139,8 @@ def column_cycle_check(g: GridGraph, m: EchelonMatrix, t: SpanningTree,
                        chord: int) -> bool:
     """True iff the chord column plus its supporting tree-edge unit columns
     selects an even-degree edge set (a member of the cycle space)."""
-    tree_ids = sorted(int(e) for e in t.tree_edge_ids())
-    support_rows = m.column_support(chord)
-    edge_set = [chord] + [tree_ids[r] for r in support_rows]
+    tree_ids = t.tree_edge_ids()
+    edge_set = [chord] + tree_ids[m.column_support(chord)].tolist()
     deg = {}
     for eid in edge_set:
         e = g.edge(eid)

@@ -3,13 +3,15 @@
 Exhaustive enumeration is an independent ground truth for small grids: the
 enumerated tree count is cross-checked against the matrix-tree determinant,
 and per-tree totals are recomputed here by explicit breadth-first walks
-rather than through the ancestor tables used elsewhere.
+rather than through the dual-tree fold that host trees take their cycle
+lengths and boxes from.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +149,11 @@ def enumerate_spanning_trees(g: GridGraph, visit) -> int:
 def _explicit_totals(g: GridGraph, edge_ids, table=None):
     """(L_total, P_total) of a tree, by plain BFS and stepwise path walks.
 
-    Independent of the ancestor-table implementation in :mod:`gridcycle.tree`;
-    used as the oracle side of dual-route checks.  Each step moves the
-    deeper end of a chord (its first end on a tie) to its parent until the
-    ends meet at their LCA; the cycle box is a running min/max over every
-    vertex reached.
+    Independent of the dual-tree fold (``tree._dual_fold``) that host trees
+    take their lengths and boxes from; used as the oracle side of
+    dual-route checks.  Each step moves the deeper end of a chord (its first
+    end on a tie) to its parent until the ends meet at their LCA; the cycle
+    box is a running min/max over every vertex reached.
     ``table`` is :func:`_endpoint_table` of g, built here when not given.
     """
     ends, xs, ys = table or _endpoint_table(g)
@@ -246,31 +248,26 @@ def min_total_length(g: GridGraph) -> MinimumReport:
 def random_spanning_tree(g: GridGraph, seed: int) -> SpanningTree:
     """Exactly uniform spanning tree via loop-erased random walks.
 
-    Deterministic for a fixed seed.  The walk's next-pointer table performs
-    the loop erasure implicitly: re-visiting a vertex overwrites its pointer.
+    Deterministic for a fixed seed.  A vertex's neighbours are offsets from
+    it, (-1, +1, -n, +n) less the sides that do not exist, so every vertex
+    shares one of nine offset tuples.  The walk keeps only the index it
+    last drew at each vertex, which performs the loop erasure implicitly:
+    re-visiting a vertex overwrites its choice.
     """
     rng = random.Random(seed)
     n = g.n
     nv = g.num_vertices
-    root = 0
     if nv == 1:
         return SpanningTree.from_edges(g, [], (1, 1))
-    nbrs = []
-    for i in range(nv):
-        x, y = i % n, i // n
-        cur = []
-        if x > 0:
-            cur.append(i - 1)
-        if x < n - 1:
-            cur.append(i + 1)
-        if y > 0:
-            cur.append(i - n)
-        if y < n - 1:
-            cur.append(i + n)
-        nbrs.append(cur)
+
+    def row(vert):  # one row's offset tuples, left to right
+        return [(1,) + vert] + [(-1, 1) + vert] * (n - 2) + [(-1,) + vert]
+
+    nbrs = row((n,)) + row((-n, n)) * (n - 2) + row((-n,))
     in_tree = bytearray(nv)
-    in_tree[root] = 1
-    nxt = [-1] * nv
+    in_tree[0] = 1
+    pick = bytearray(nv)
+    nxt = array("i", [0]) * nv
     # rng.choice(nb), inlined: CPython's _randbelow_with_getrandbits draws
     # len(nb).bit_length() bits until they fall below len(nb).
     getrandbits = rng.getrandbits
@@ -284,15 +281,17 @@ def random_spanning_tree(g: GridGraph, seed: int) -> SpanningTree:
             r = getrandbits(k.bit_length())
             while r >= k:
                 r = getrandbits(k.bit_length())
-            v = nb[r]
-            nxt[u] = v
-            u = v
+            pick[u] = r
+            u += nb[r]
         u = start
         while not in_tree[u]:
             in_tree[u] = 1
-            u = nxt[u]
+            v = u + nbrs[u][pick[u]]
+            nxt[u] = v
+            u = v
     # The tree edges: every vertex but the root 0 to its next vertex.
-    ids = g.edge_ids(np.arange(1, nv), np.asarray(nxt[1:]))
+    ids = g.edge_ids(np.arange(1, nv, dtype=np.int32),
+                     np.frombuffer(nxt, dtype=np.int32)[1:])
     return SpanningTree.from_edges(g, ids, (1, 1))
 
 

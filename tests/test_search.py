@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -217,6 +218,23 @@ def test_wilson_matches_choice_reference(n):
 def test_wilson_single_vertex():
     t = random_spanning_tree(make_grid(1), 0)
     assert t.max_depth() == 0
+
+
+def test_wilson_peak_memory_per_vertex():
+    # One draw on the 256-grid under tracemalloc, after a warm-up draw.
+    # Shared offset tuples and byte-sized choices keep it near 88 bytes per
+    # vertex, most of it the int64 temporaries of GridGraph.edge_ids; a
+    # Python list of neighbour ints per vertex takes about 307.
+    g = make_grid(256)
+    random_spanning_tree(g, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        random_spanning_tree(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / g.num_vertices <= 120
 
 
 def test_wilson_uniform_g2():
